@@ -18,8 +18,13 @@ Two speed choices are made once at import:
   run on Fractions), else the pure-Python twin (_kernel_pure).  Both run
   the identical pivot sequence.  Override with SPINCOUPLE_KERNEL=pure|compiled.
 
+The compiled kernel receives gmpy2.mpq coefficients and returns mpq.  The
+pure kernel always receives fractions.Fraction, whichever arithmetic is
+active: it clears denominators itself and pivots fraction-free on plain
+ints, returning Fractions.
+
 The environment variables are development/testing knobs (used by the parity
-tests and the benchmark); results are identical either way.
+tests); results are identical either way.
 
 Callers see fractions.Fraction everywhere regardless of the internal
 arithmetic.  A cheap presolve fixes variables that equality rows with zero
@@ -214,7 +219,7 @@ def _solve(lp: LinearProgram, objective, maximize: bool) -> LpOutcome:
         _check_witness(lp, witness)
         return LpOutcome(LpStatus.FEASIBLE, witness, None)
 
-    if _mpq is not None:
+    if _kernel is _compiled_kernel:
         zero, one = _mpq(0), _mpq(1)
         conv = lambda v: _mpq(v.numerator, v.denominator)  # noqa: E731
     else:
@@ -242,8 +247,8 @@ def _solve(lp: LinearProgram, objective, maximize: bool) -> LpOutcome:
     optimum = None
     if objective is not None:
         optimum = sum((objective[j] * witness[j] for j in range(lp.num_vars)), Fraction(0))
-        if opt is not None:
-            assert optimum == Fraction(int(opt.numerator), int(opt.denominator))
+        if opt is not None and optimum != Fraction(int(opt.numerator), int(opt.denominator)):
+            raise AssertionError("kernel optimum disagrees with its own witness")
     return LpOutcome(LpStatus.FEASIBLE, witness, optimum)
 
 

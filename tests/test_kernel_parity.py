@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 import spincouple._kernel_pure as pure
+from reference_kernel import random_case
 
 compiled = pytest.importorskip(
     "spincouple._kernel_cy", reason="compiled kernel not built"
@@ -36,24 +37,11 @@ def _frac_of(v):
     return F(int(v.numerator), int(v.denominator))
 
 
-def _random_case(rng):
-    m = rng.randint(0, 6)
-    n = rng.randint(1, 9)
-    rows = [
-        [F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n)] for _ in range(m)
-    ]
-    rhs = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(m)]
-    objective = None
-    if rng.random() < 0.6:
-        objective = [F(rng.randint(-3, 3)) for _ in range(n)]
-    return rows, rhs, objective, rng.random() < 0.5
-
-
 def test_identical_outcomes_on_random_programs():
     rng = random.Random(424242)
     statuses = [0, 0, 0]
     for _ in range(1500):
-        rows, rhs, objective, maximize = _random_case(rng)
+        rows, rhs, objective, maximize = random_case(rng)
         got_p = pure.solve(
             [r[:] for r in rows], rhs[:], objective, maximize, F(0), F(1)
         )

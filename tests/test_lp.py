@@ -7,7 +7,10 @@ and detects unboundedness through extreme-ray enumeration.  It shares no
 code with the simplex kernels.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spincouple
 from spincouple import (
     DomainError,
     LinearProgram,
@@ -274,6 +278,45 @@ def test_kernel_backend_reports_shape():
     kernel, arithmetic = name.split("+")
     assert kernel in ("pure", "compiled")
     assert arithmetic in ("gmpy2", "fractions")
+
+
+_WRONG_OPTIMUM = """
+import spincouple.lp as lp
+from fractions import Fraction as F
+
+kernel = lp._kernel
+
+
+class OffByOne:
+    @staticmethod
+    def solve(*args):
+        status, witness, optimum = kernel.solve(*args)
+        return status, witness, optimum + 1
+
+
+lp._kernel = OffByOne
+program = lp.LinearProgram(2, [([F(1), F(1)], F(1))], objective=[F(1), F(0)])
+try:
+    lp.optimize(program, "max")
+except AssertionError as exc:
+    print("raised:", exc)
+"""
+
+
+def test_optimum_check_survives_python_O():
+    # the kernel's optimum is cross-checked against its witness by an
+    # explicit raise, which -O (unlike an assert) cannot strip
+    src = os.path.dirname(os.path.dirname(spincouple.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_OPTIMUM],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised: kernel optimum disagrees"), out.stdout
 
 
 # ---------------------------------------------------------- oracle parity
