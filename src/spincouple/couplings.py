@@ -41,28 +41,41 @@ CTX_POSITIONS = {ctx: (_A_POS[ctx], _B_POS[ctx]) for ctx in CONTEXTS}
 CONNECTION_NAMES = ("A1", "A2", "B1", "B2")
 CONNECTION_POSITIONS = {"A1": (0, 1), "A2": (2, 3), "B1": (4, 6), "B2": (5, 7)}
 
-# per (context, cell): pattern indices contributing to that marginal cell
-_CELLS = ((1, 1), (1, -1), (-1, 1))  # fourth cell is redundant given normalization
-_CELL_INDICES = {
-    (ctx, cell): tuple(
-        k
-        for k, p in enumerate(ALL_PATTERNS)
-        if p[CTX_POSITIONS[ctx][0]] == cell[0] and p[CTX_POSITIONS[ctx][1]] == cell[1]
+# Coefficient rows of the 256-column coupling programs, built once as int
+# tuples and shared by every program; only the right-hand sides vary.
+
+
+def _indicator(indices) -> tuple[int, ...]:
+    row = [0] * 256
+    for k in indices:
+        row[k] = 1
+    return tuple(row)
+
+
+_NORMALIZATION = (1,) * 256
+# per context: the rows of three marginal cells; the fourth (-1, -1) is
+# redundant given normalization
+_CELLS = ((1, 1), (1, -1), (-1, 1))
+_CELL_ROWS = {
+    ctx: tuple(
+        _indicator(k for k, p in enumerate(ALL_PATTERNS) if (p[a], p[b]) == cell)
+        for cell in _CELLS
     )
-    for ctx in CONTEXTS
-    for cell in (_CELLS + ((-1, -1),))
+    for ctx, (a, b) in CTX_POSITIONS.items()
 }
-_DIFFER_INDICES = {
-    name: tuple(k for k, p in enumerate(ALL_PATTERNS) if p[u] != p[v])
-    for name, (u, v) in CONNECTION_POSITIONS.items()
-}
-_EQUAL_INDICES = {
-    name: tuple(k for k, p in enumerate(ALL_PATTERNS) if p[u] == p[v])
-    for name, (u, v) in CONNECTION_POSITIONS.items()
-}
+# per connection: its sign in each pattern, and indicators of the patterns
+# where its two variables differ / agree
 _PRODUCT_SIGN = {
     name: tuple(p[u] * p[v] for p in ALL_PATTERNS)
     for name, (u, v) in CONNECTION_POSITIONS.items()
+}
+_DIFFER_ROWS = {
+    name: _indicator(k for k, s in enumerate(signs) if s < 0)
+    for name, signs in _PRODUCT_SIGN.items()
+}
+_EQUAL_ROWS = {
+    name: _indicator(k for k, s in enumerate(signs) if s > 0)
+    for name, signs in _PRODUCT_SIGN.items()
 }
 
 _EPS = 1e-9
@@ -202,26 +215,12 @@ def independent_coupling(s: Scenario) -> Coupling:
     return Coupling(mass)
 
 
-def _marginal_rows(s: Scenario) -> list[tuple[list[Fraction], Fraction]]:
-    one = Fraction(1)
-    zero = Fraction(0)
-    rows: list[tuple[list[Fraction], Fraction]] = [([one] * 256, one)]
+def _marginal_rows(s: Scenario) -> list[tuple[tuple[int, ...], Fraction]]:
+    rows = [(_NORMALIZATION, Fraction(1))]
     for ctx in CONTEXTS:
         pd = s.pairs[ctx]
-        for cell in _CELLS:
-            row = [zero] * 256
-            for k in _CELL_INDICES[(ctx, cell)]:
-                row[k] = one
-            rows.append((row, pd.prob(*cell)))
+        rows.extend(zip(_CELL_ROWS[ctx], (pd.prob(*cell) for cell in _CELLS)))
     return rows
-
-
-def _indicator_row(indices) -> list[Fraction]:
-    one = Fraction(1)
-    row = [Fraction(0)] * 256
-    for k in indices:
-        row[k] = one
-    return row
 
 
 def _witness_coupling(witness) -> Coupling:
@@ -236,17 +235,19 @@ def coupling_exists(s: Scenario, conn: Optional[ConnectionVector] = None) -> Cou
     +1 (resp. -1) additionally pins the mass of differing (resp. equal)
     patterns to zero; those rows are implied by the expectation row and the
     normalization, and let presolve shrink the problem drastically.
+
+    The coefficient rows are shared module-level int tuples, built once at
+    import; a call creates only its right-hand sides.
     """
     rows = _marginal_rows(s)
     if conn is not None:
         targets = conn.rational_components()
         for name, t in zip(CONNECTION_NAMES, targets):
-            row = [Fraction(v) for v in _PRODUCT_SIGN[name]]
-            rows.append((row, t))
+            rows.append((_PRODUCT_SIGN[name], t))
             if t == 1:
-                rows.append((_indicator_row(_DIFFER_INDICES[name]), Fraction(0)))
+                rows.append((_DIFFER_ROWS[name], Fraction(0)))
             elif t == -1:
-                rows.append((_indicator_row(_EQUAL_INDICES[name]), Fraction(0)))
+                rows.append((_EQUAL_ROWS[name], Fraction(0)))
     out = solve_feasibility(LinearProgram(256, rows))
     if out.status is not LpStatus.FEASIBLE:
         return CouplingVerdict(False)
@@ -262,7 +263,7 @@ def identity_coupling_exists(s: Scenario) -> CouplingVerdict:
     """
     rows = _marginal_rows(s)
     for name in CONNECTION_NAMES:
-        rows.append((_indicator_row(_DIFFER_INDICES[name]), Fraction(0)))
+        rows.append((_DIFFER_ROWS[name], Fraction(0)))
     out = solve_feasibility(LinearProgram(256, rows))
     if out.status is not LpStatus.FEASIBLE:
         return CouplingVerdict(False)
@@ -312,9 +313,7 @@ def connection_range(s: Scenario, which: str) -> tuple[Fraction, Fraction]:
     """Exact attainable range of one connection expectation over all
     couplings of the scenario."""
     _connection_positions(which)
-    rows = _marginal_rows(s)
-    objective = [Fraction(v) for v in _PRODUCT_SIGN[which]]
-    lp = LinearProgram(256, rows, objective=objective)
+    lp = LinearProgram(256, _marginal_rows(s), objective=_PRODUCT_SIGN[which])
     lo = optimize(lp, "min")
     hi = optimize(lp, "max")
     if lo.status is not LpStatus.FEASIBLE or hi.status is not LpStatus.FEASIBLE:

@@ -4,7 +4,8 @@ Programs are equality-constrained over nonnegative variables:
 
     minimize / maximize  c . x    subject to    A x = b,  x >= 0
 
-with every coefficient an exact rational.  Solving is two-phase simplex
+with every coefficient an exact rational: an int or a fractions.Fraction,
+mixed freely; rows may be lists or tuples.  Solving is two-phase simplex
 under Bland's anti-cycling rule, so results are deterministic and never
 carry floating-point doubt: a Feasible outcome includes an exact witness,
 Infeasible means exactly that.
@@ -30,11 +31,19 @@ Callers see fractions.Fraction everywhere regardless of the internal
 arithmetic.  A cheap presolve fixes variables that equality rows with zero
 right-hand side pin to zero; coupling problems with almost-sure-equality
 constraints collapse from 256 variables to a handful, which is what makes
-the large randomized campaigns affordable.
+the large randomized campaigns affordable.  Presolve reads each row only
+through its sign masks, two ints used as bit sets of its positive and
+negative columns, and pins columns by bit operations on them.  The masks of
+a tuple row are memoised by value, so the shared coefficient rows of the
+coupling programs are scanned once per process, not once per solve.  The
+witness check likewise touches only the witness's nonzero entries, summing
+in integers over the lcm of their denominators.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -129,8 +138,8 @@ class LinearProgram:
     """Equality-form program; nonnegativity of all variables is implicit."""
 
     num_vars: int
-    equalities: list[tuple[Sequence[Fraction], Fraction]]
-    objective: Optional[Sequence[Fraction]] = None
+    equalities: list[tuple[Sequence[Fraction | int], Fraction | int]]
+    objective: Optional[Sequence[Fraction | int]] = None
 
     def validate(self) -> None:
         if self.num_vars < 1:
@@ -146,7 +155,20 @@ class LinearProgram:
             )
 
 
-_ZERO = Fraction(0)
+def _sign_masks(row) -> tuple[int, int]:
+    """(pos, neg): bit j is set when row[j] > 0, resp. row[j] < 0."""
+    pos = neg = 0
+    for j, v in enumerate(row):
+        if v > 0:
+            pos |= 1 << j
+        elif v < 0:
+            neg |= 1 << j
+    return pos, neg
+
+
+# Coupling programs draw their coefficient rows from a few dozen shared
+# tuples; memoised by value, each of them is scanned once per process.
+_memo_sign_masks = functools.lru_cache(maxsize=64)(_sign_masks)
 
 
 def _presolve(lp: LinearProgram):
@@ -158,50 +180,40 @@ def _presolve(lp: LinearProgram):
     dropped).
     """
     n = lp.num_vars
-    forced = bytearray(n)
-    src_rows = [row for row, _ in lp.equalities]
+    masks = [
+        _memo_sign_masks(row) if type(row) is tuple else _sign_masks(row)
+        for row, _ in lp.equalities
+    ]
     src_rhs = [b for _, b in lp.equalities]
+    forced = 0
     changed = True
     while changed:
         changed = False
-        for row, b in zip(src_rows, src_rhs):
-            any_pos = False
-            any_neg = False
-            for j in range(n):
-                if forced[j]:
-                    continue
-                v = row[j]
-                if v > _ZERO:
-                    any_pos = True
-                elif v < _ZERO:
-                    any_neg = True
-                if any_pos and any_neg:
-                    break
-            if any_pos and any_neg:
+        for (pos, neg), b in zip(masks, src_rhs):
+            pos &= ~forced
+            neg &= ~forced
+            if pos and neg:
                 continue
-            if not any_pos and not any_neg:
-                if b != _ZERO:
+            if not pos and not neg:
+                if b != 0:
                     return "infeasible", None
                 continue
-            if b == _ZERO:
+            if b == 0:
                 # single-signed row summing to zero: every participating
                 # variable is pinned to 0 by nonnegativity
-                for j in range(n):
-                    if not forced[j] and row[j] != _ZERO:
-                        forced[j] = 1
-                        changed = True
-            elif (b > _ZERO and not any_pos) or (b < _ZERO and not any_neg):
+                forced |= pos | neg
+                changed = True
+            elif (b > 0 and not pos) or (b < 0 and not neg):
                 return "infeasible", None
-    keep = [j for j in range(n) if not forced[j]]
+    keep = [j for j in range(n) if not forced >> j & 1]
     rows = []
     rhs = []
-    for row, b in zip(src_rows, src_rhs):
-        red = [row[j] for j in keep]
-        if any(red):
-            rows.append(red)
+    # a row left without free columns has zero rhs, or the last pass above
+    # would have returned; it is dropped
+    for (row, b), (pos, neg) in zip(lp.equalities, masks):
+        if (pos | neg) & ~forced:
+            rows.append([row[j] for j in keep])
             rhs.append(b)
-        elif b != _ZERO:
-            return "infeasible", None
     return "reduced", (keep, rows, rhs)
 
 
@@ -254,15 +266,15 @@ def _solve(lp: LinearProgram, objective, maximize: bool) -> LpOutcome:
 
 def _check_witness(lp: LinearProgram, witness: tuple[Fraction, ...]) -> None:
     # Exactness guard: a witness that misses any equality is a kernel bug.
+    # Only the support can contribute; scaling it by the lcm of its
+    # denominators keeps the row sums in integers.
+    support = [(j, w) for j, w in enumerate(witness) if w]
+    if any(w < 0 for _, w in support):
+        raise AssertionError("kernel produced a negative witness component")
+    scale = math.lcm(*(w.denominator for _, w in support))
+    scaled = [(j, w.numerator * (scale // w.denominator)) for j, w in support]
     for row, b in lp.equalities:
-        acc = Fraction(0)
-        for j in range(lp.num_vars):
-            w = witness[j]
-            if w:
-                if w < 0:
-                    raise AssertionError("kernel produced a negative witness component")
-                acc += row[j] * w
-        if acc != b:
+        if sum(row[j] * w for j, w in scaled) != b * scale:
             raise AssertionError("kernel witness violates an equality row")
 
 

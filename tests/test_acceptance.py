@@ -1,7 +1,7 @@
 """End-to-end acceptance checks for the package's headline guarantees.
 
 Each check prints one visible line, [k/9] PASS or FAIL with its elapsed
-time and informational budget, then asserts.  Budgets are printed, not
+time, informational budget and the active kernel backend, then asserts.  Budgets are printed, not
 enforced: correctness is the contract, the timings document scale.
 
 Everything is seeded and deterministic; the seeds below are frozen so the
@@ -18,6 +18,7 @@ from spincouple import (
     arcsin_sum_max,
     chsh_max,
     fine_agreement_campaign,
+    kernel_backend,
     pair_coupling_range,
     pair_coupling_range_lp,
     quantum_arcsin,
@@ -48,7 +49,10 @@ SEED_SETTINGS = 2026
 def _report(capsys, k, label, ok, t0, budget):
     elapsed = time.perf_counter() - t0
     with capsys.disabled():
-        print(f"\n[{k}/9] {'PASS' if ok else 'FAIL'} {label} ({elapsed:.1f}s, budget {budget})")
+        print(
+            f"\n[{k}/9] {'PASS' if ok else 'FAIL'} {label} "
+            f"({elapsed:.1f}s, budget {budget}, {kernel_backend()})"
+        )
     return ok
 
 

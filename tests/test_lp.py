@@ -319,6 +319,53 @@ def test_optimum_check_survives_python_O():
     assert out.stdout.startswith("raised: kernel optimum disagrees"), out.stdout
 
 
+_BAD_WITNESS = """
+import spincouple.lp as lp
+from fractions import Fraction as F
+
+
+class Forged:
+    @staticmethod
+    def solve(*args):
+        return lp._kernel_pure.FEASIBLE, WITNESS, None
+
+
+WITNESS = {witness}
+lp._kernel = Forged
+program = lp.LinearProgram(
+    3, [([F(1), F(1), F(1)], F(1)), ([F(1), F(-1), F(0)], F(0))]
+)
+try:
+    lp.solve_feasibility(program)
+except AssertionError as exc:
+    print("raised:", exc)
+"""
+
+
+@pytest.mark.parametrize(
+    "witness, message",
+    [
+        # sums to 1 but x0 != x1: misses the second row only
+        ("[F(1, 2), F(1, 4), F(1, 4)]", "kernel witness violates an equality row"),
+        # meets both rows, with x2 < 0
+        ("[F(2, 3), F(2, 3), F(-1, 3)]", "kernel produced a negative witness component"),
+    ],
+)
+def test_witness_check_survives_python_O(witness, message):
+    # the witness guard raises explicitly, so -O cannot strip it either
+    src = os.path.dirname(os.path.dirname(spincouple.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _BAD_WITNESS.format(witness=witness)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == f"raised: {message}", out.stdout
+
+
 # ---------------------------------------------------------- oracle parity
 
 
