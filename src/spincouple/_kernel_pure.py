@@ -1,11 +1,10 @@
 """Pure-Python two-phase simplex pivot kernel, fraction-free.
 
-spincouple.lp selects the compiled twin (_kernel_cy, GMP-native) when it
-is built and gmpy2 arithmetic is active, and this kernel otherwise.  Both
-kernels execute the identical pivot sequence: Bland's rule (lowest-index
-entering column, lowest-index basic variable on ratio ties), which
-guarantees termination without cycling.  Tests assert the two produce
-identical outcomes, witnesses included.
+This is the one kernel spincouple.lp calls.  Its pivot sequence is
+Bland's rule (lowest-index entering column, lowest-index basic variable on
+ratio ties), which guarantees termination without cycling.  The oracle
+tests/reference_kernel.py runs the same rule on fractions.Fraction, and the
+tests require identical outcomes from both, witnesses included.
 
 The tableau holds only the original columns plus the right-hand side.
 Phase 1 starts from one artificial basic variable per row, but artificial
@@ -16,7 +15,7 @@ rhs columns only, and artificial membership is tracked through the basis
 indices alone (index >= n means artificial).
 
 Arithmetic is integer-preserving (Bareiss) elimination on plain ints.
-Inputs are exact rationals (fractions.Fraction, or anything exposing
+Inputs are ints and fractions.Fraction, mixed freely (anything exposing
 integer numerator and denominator).  Row i is multiplied by s_i > 0, the
 lcm of its coefficient denominators, and the right-hand-side column then
 by one L > 0, the lcm of its denominators (the kernel solves for L * x);
@@ -34,7 +33,7 @@ the same update and reads as d / (D * K) on coefficients, where K > 0
 clears the denominators of its costs (in phase 1, row i's artificial
 costs K / s_i).
 
-Why the pivots match the rational kernels: every decision depends only on
+Why the pivots match the reference kernel: every decision depends only on
 signs and ratios that positive row scales and the positive D and K
 preserve.  The entering column is the first j with d[j] < 0; the ratio
 test compares M[i][rhs] / M[i][e] by cross-multiplication, ties going to
@@ -78,15 +77,14 @@ def _eliminate(Mi, Mr, p, f, D, sum_r):
     return out
 
 
-def solve(rows, rhs, objective, maximize, zero, one):
+def solve(rows, rhs, objective, maximize):
     """Minimize/maximize objective . x subject to rows . x = rhs, x >= 0.
 
     rows: list of equal-length coefficient lists; rhs: matching list;
     objective: coefficient list or None for a pure feasibility run.
     Returns (status, witness, optimum); witness is a list of Fractions in
     the original variable order, optimum is in the caller's optimization
-    sense.  zero and one keep the compiled twin's signature; zero fills the
-    nonbasic witness entries and seeds the optimum sum.
+    sense.
     """
     m = len(rows)
     if m:
@@ -199,12 +197,12 @@ def solve(rows, rhs, objective, maximize, zero, one):
         if not run():
             return UNBOUNDED, None, None
 
-    x = [zero] * n
+    x = [Fraction(0)] * n
     for i in range(len(M)):
         x[basis[i]] = Fraction(M[i][n], D * L)
     if objective is None:
         return FEASIBLE, x, None
-    opt = zero
+    opt = Fraction(0)
     for j in range(n):
         if x[j]:
             opt += objective[j] * x[j]

@@ -10,24 +10,12 @@ under Bland's anti-cycling rule, so results are deterministic and never
 carry floating-point doubt: a Feasible outcome includes an exact witness,
 Infeasible means exactly that.
 
-Two speed choices are made once at import:
+There is one pivot kernel, spincouple._kernel_pure.  It takes the
+presolved rows, right-hand side and objective as they are, ints and
+Fractions mixed, clears denominators itself, pivots fraction-free on plain
+ints and returns Fractions.
 
-* coefficient arithmetic: gmpy2.mpq when gmpy2 is importable, else
-  fractions.Fraction.  Override with SPINCOUPLE_RATIONAL=fraction|gmpy2.
-* pivot kernel: the compiled extension (spincouple._kernel_cy) when it is
-  built and mpq arithmetic is active (it drives GMP directly and cannot
-  run on Fractions), else the pure-Python twin (_kernel_pure).  Both run
-  the identical pivot sequence.  Override with SPINCOUPLE_KERNEL=pure|compiled.
-
-The compiled kernel receives gmpy2.mpq coefficients and returns mpq.  The
-pure kernel always receives fractions.Fraction, whichever arithmetic is
-active: it clears denominators itself and pivots fraction-free on plain
-ints, returning Fractions.
-
-The environment variables are development/testing knobs (used by the parity
-tests); results are identical either way.
-
-Callers see fractions.Fraction everywhere regardless of the internal
+Callers see fractions.Fraction everywhere, not the kernel's integer
 arithmetic.  A cheap presolve fixes variables that equality rows with zero
 right-hand side pin to zero; coupling problems with almost-sure-equality
 constraints collapse from 256 variables to a handful, which is what makes
@@ -44,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -53,43 +40,15 @@ from typing import Literal, Optional, Sequence
 from .errors import DomainError, StructuralError
 from . import _kernel_pure
 
-try:
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    _mpq = None
-
-try:
-    from . import _kernel_cy as _compiled_kernel
-except ImportError:  # pragma: no cover - extension not built
-    _compiled_kernel = None
-
-_env_rational = os.environ.get("SPINCOUPLE_RATIONAL", "").strip().lower()
-if _env_rational in ("fraction", "fractions"):
-    _mpq = None
-elif _env_rational == "gmpy2" and _mpq is None:
-    raise ImportError("SPINCOUPLE_RATIONAL=gmpy2 but gmpy2 is not importable")
-
-_env_kernel = os.environ.get("SPINCOUPLE_KERNEL", "").strip().lower()
-if _env_kernel == "pure":
-    _kernel = _kernel_pure
-elif _env_kernel == "compiled":
-    if _compiled_kernel is None:
-        raise ImportError("SPINCOUPLE_KERNEL=compiled but the extension is not built")
-    if _mpq is None:
-        raise ImportError("SPINCOUPLE_KERNEL=compiled requires gmpy2 arithmetic")
-    _kernel = _compiled_kernel
-else:
-    _kernel = (
-        _compiled_kernel
-        if _compiled_kernel is not None and _mpq is not None
-        else _kernel_pure
-    )
-_KERNEL_NAME = "compiled" if _kernel is _compiled_kernel else "pure"
+# The one seam through which the kernel is called; tests substitute it, and
+# calls go through the module attribute so hooks on _kernel_pure.solve see
+# every solve.
+_kernel = _kernel_pure
 
 
 def kernel_backend() -> str:
-    """Identify the active kernel and arithmetic, e.g. 'compiled+gmpy2'."""
-    return f"{_KERNEL_NAME}+{'gmpy2' if _mpq is not None else 'fractions'}"
+    """Identify the pivot kernel and its arithmetic: 'pure+fractions'."""
+    return "pure+fractions"
 
 
 Rational = Fraction
@@ -115,8 +74,6 @@ def as_rational(value) -> Fraction:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"cannot parse rational from {value!r}") from exc
-    if _mpq is not None and isinstance(value, type(_mpq(0))):
-        return Fraction(int(value.numerator), int(value.denominator))
     raise DomainError(f"cannot interpret {type(value).__name__} as an exact rational")
 
 
@@ -231,35 +188,22 @@ def _solve(lp: LinearProgram, objective, maximize: bool) -> LpOutcome:
         _check_witness(lp, witness)
         return LpOutcome(LpStatus.FEASIBLE, witness, None)
 
-    if _kernel is _compiled_kernel:
-        zero, one = _mpq(0), _mpq(1)
-        conv = lambda v: _mpq(v.numerator, v.denominator)  # noqa: E731
-    else:
-        zero, one = Fraction(0), Fraction(1)
-        conv = lambda v: v  # noqa: E731
-    krows = [[conv(Fraction(v)) for v in row] for row in rows]
-    krhs = [conv(Fraction(b)) for b in rhs]
-    kobj = None
-    if objective is not None:
-        kobj = [conv(Fraction(objective[j])) for j in keep]
-
-    code, wit, opt = _kernel.solve(krows, krhs, kobj, maximize, zero, one)
+    kobj = None if objective is None else [objective[j] for j in keep]
+    code, wit, opt = _kernel.solve(rows, rhs, kobj, maximize)
     if code == _kernel_pure.INFEASIBLE:
         return LpOutcome(LpStatus.INFEASIBLE)
     if code == _kernel_pure.UNBOUNDED:
         return LpOutcome(LpStatus.UNBOUNDED)
 
     full = [Fraction(0)] * lp.num_vars
-    for pos, j in enumerate(keep):
-        v = wit[pos]
-        if v:
-            full[j] = Fraction(int(v.numerator), int(v.denominator))
+    for j, v in zip(keep, wit):
+        full[j] = v
     witness = tuple(full)
     _check_witness(lp, witness)
     optimum = None
     if objective is not None:
         optimum = sum((objective[j] * witness[j] for j in range(lp.num_vars)), Fraction(0))
-        if opt is not None and optimum != Fraction(int(opt.numerator), int(opt.denominator)):
+        if opt is not None and optimum != opt:
             raise AssertionError("kernel optimum disagrees with its own witness")
     return LpOutcome(LpStatus.FEASIBLE, witness, optimum)
 

@@ -172,7 +172,7 @@ def solve(rows, rhs, objective, maximize, zero, one):
 
 
 def random_case(rng):
-    """A small random program (rows, rhs, objective, maximize) for parity tests.
+    """A small random program (rows, rhs, objective, maximize) for kernel tests.
 
     m = 0 occurs, rhs entries may be negative, and all three statuses come
     up in bulk.

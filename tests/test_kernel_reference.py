@@ -5,7 +5,6 @@ reference_kernel runs the same Bland simplex on fractions.Fraction.  Both
 choose the same pivots, so status, witness and optimum must be exactly
 equal on every program: random ones, and the programs spincouple.lp hands
 the kernel for real coupling questions, captured as they are passed.
-Unlike the compiled-kernel parity tests, these run on every install.
 """
 
 import copy
@@ -33,7 +32,7 @@ MILLION = 10**6
 
 def _assert_same(program):
     got = pure.solve(*copy.deepcopy(program))
-    want = reference.solve(*copy.deepcopy(program))
+    want = reference.solve(*copy.deepcopy(program), F(0), F(1))
     assert got[0] == want[0], program
     assert got[1] == want[1], program
     assert got[2] == want[2], program
@@ -81,7 +80,7 @@ def test_random_programs_match_reference(shape, cases):
     rng = random.Random(424242)
     statuses = [0, 0, 0]
     for _ in range(cases):
-        statuses[_assert_same(shape(rng) + (F(0), F(1)))] += 1
+        statuses[_assert_same(shape(rng))] += 1
     if shape is _without_rows:
         assert statuses[pure.INFEASIBLE] == 0
         assert min(statuses[pure.FEASIBLE], statuses[pure.UNBOUNDED]) > 5, statuses
@@ -138,6 +137,9 @@ def test_captured_coupling_programs_match_reference(
         for question in questions:
             for program in _capture(monkeypatch, question):
                 assert (_width(program) == 256) is full_width
+                if full_width:
+                    # the shared 0/+-1 coupling rows reach the kernel as ints
+                    assert all(type(v) is int for row in program[0] for v in row)
                 objectives += program[2] is not None
                 statuses.append(_assert_same(program))
     assert objectives == 2  # connection_range: one min, one max

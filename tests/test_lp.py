@@ -274,10 +274,7 @@ def test_as_rational_accepts_and_refuses():
 
 
 def test_kernel_backend_reports_shape():
-    name = kernel_backend()
-    kernel, arithmetic = name.split("+")
-    assert kernel in ("pure", "compiled")
-    assert arithmetic in ("gmpy2", "fractions")
+    assert kernel_backend() == "pure+fractions"
 
 
 _WRONG_OPTIMUM = """
