@@ -46,8 +46,7 @@ Every division by D must be exact.  The floor quotients of a row are
 checked at once: their remainders are all nonnegative, so they vanish
 exactly when D * sum(quotients) equals the sum of the numerators.  A
 nonzero remainder means the invariant broke and raises ArithmeticError.
-No validation of inputs happens here; spincouple.lp owns input checking
-and presolve.
+No validation of inputs happens here; spincouple.lp owns input checking.
 """
 
 from fractions import Fraction

@@ -6,9 +6,17 @@ every scenario admitting such a coupling satisfies the family (tested
 contrapositively: every violator is uncouplable); it is "equivalent" when
 it does both.  Those quantifiers range over all uniform-marginal scenarios,
 which no finite run can exhaust, so the tests here are honest sampled
-versions: n seeded scenarios per quantifier, verdicts tagged with
-samples_checked, and every false verdict backed by an LP-certified
-counterexample scenario.
+versions: n scenarios per quantifier, verdicts tagged with samples_checked,
+and every false verdict backed by a counterexample scenario whose coupling
+verdict is exact.
+
+A fitting test first tries the family's extreme point in each of the 16
+sign directions sigma of the correlation vector: the deterministic point
+sigma when sigma has an even number of -1s, and otherwise sigma / 2 for
+bell and r * sigma for quantum and tsirelson, r the largest fraction with
+denominator <= 10^6 below sqrt(2) / 2.  A vector that does not fit is
+most often refuted at one of those boundary members; seeded samples from
+inside the family fill the remaining slots.
 
 The closed-form predicates the samplers are checked against:
 
@@ -21,6 +29,7 @@ The closed-form predicates the samplers are checked against:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,9 +37,9 @@ from itertools import product
 from typing import Optional
 
 from .couplings import ConnectionVector, coupling_exists
-from .distributions import Scenario
+from .distributions import Scenario, scenario_from_correlations
 from .errors import DomainError
-from .inequalities import DEFAULT_EPSILON, FAMILIES
+from .inequalities import DEFAULT_EPSILON, FAMILIES, FAMILY_BELL, family_report
 from .sampling import sample_scenario_in_family
 
 S2_EVEN_BOUND = 2.0 * (3.0 - math.sqrt(2.0))
@@ -106,6 +115,41 @@ def _check_family(family: str) -> None:
         raise DomainError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
+def _below_half_sqrt2(max_denominator: int) -> Fraction:
+    """The largest a/b with b <= max_denominator and 2 (a/b)^2 < 1.
+
+    Walks the Stern-Brocot tree: no fraction strictly between two Farey
+    neighbours has a denominator below the sum of theirs.
+    """
+    lo, hi = (0, 1), (1, 1)
+    while True:
+        a, b = lo[0] + hi[0], lo[1] + hi[1]
+        if b > max_denominator:
+            return Fraction(*lo)
+        if 2 * a * a < b * b:
+            lo = (a, b)
+        else:
+            hi = (a, b)
+
+
+@functools.cache
+def _extreme_members(family: str) -> tuple[Scenario, ...]:
+    """The family's extreme point in each of the 16 sign directions."""
+    odd_scale = (
+        Fraction(1, 2)
+        if family == FAMILY_BELL
+        else _below_half_sqrt2(RATIONALIZE_MAX_DENOMINATOR)
+    )
+    out = []
+    for sigma in _ALL_SIGNS:
+        scale = 1 if sigma.count(-1) % 2 == 0 else odd_scale
+        e = tuple(scale * v for v in sigma)
+        if not family_report(family, e).satisfied:
+            raise AssertionError(f"extreme point {e} is not a {family} member")
+        out.append(scenario_from_correlations(e))
+    return tuple(out)
+
+
 def _run_samples(conn, family: str, sampler_seed: int, n: int, role: str) -> SetRole:
     # fitting: members must be feasible; forcing: violators must be infeasible
     _check_family(family)
@@ -114,8 +158,12 @@ def _run_samples(conn, family: str, sampler_seed: int, n: int, role: str) -> Set
     member = role == "fitting"
     target = _as_connection(conn)
     exact = exact_connection(target)
+    extremes = _extreme_members(family) if member else ()
     for k in range(n):
-        s = sample_scenario_in_family(family, member, sampler_seed, k)
+        if k < len(extremes):
+            s = extremes[k]
+        else:
+            s = sample_scenario_in_family(family, member, sampler_seed, k)
         feasible = coupling_exists(s, exact).feasible
         if feasible != member:
             if member:
@@ -133,7 +181,8 @@ def _run_samples(conn, family: str, sampler_seed: int, n: int, role: str) -> Set
 
 
 def test_fitting(conn, family: str, sampler_seed: int, n: int) -> SetRole:
-    """Sampled check that every family member admits the connections."""
+    """Sampled check that every family member admits the connections: the
+    16 extreme points first, then seeded members."""
     return _run_samples(conn, family, sampler_seed, n, "fitting")
 
 

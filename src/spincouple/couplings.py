@@ -7,7 +7,17 @@ A coupling is one joint distribution over the 256 sign patterns of
 whose marginal on each observed pair (A'_ij, B'_ij) reproduces the
 scenario's pair distribution.  Existence questions under extra constraints
 (identity of same-setting variables across contexts, or prescribed
-connection expectations) are decided by exact linear feasibility.
+connection expectations) are decided on the cycle
+
+    a11 - b11 - b21 - a21 - a22 - b22 - b12 - a12 - a11
+
+whose edges alternate the four observed contexts and the four connections;
+no question constrains a pair off the cycle.  Cutting the cycle into
+triangles fanned out from a11 turns existence into exact interval
+propagation along the five chords, and gluing the triangle tables gives a
+witness coupling, certified against the scenario and the targets.  (The
+cycle's cut polytope is cut out by triangle and cycle inequalities:
+Barahona & Mahjoub, Math. Prog. 36, 1986.)
 
 The four connections are the unobservable cross-context pairs
 
@@ -19,6 +29,7 @@ and a ConnectionVector holds the four target expectations in that order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -26,7 +37,7 @@ from typing import Mapping, Optional, Union
 
 from .distributions import CONTEXTS, Context, PairDistribution, Scenario
 from .errors import DomainError, StructuralError
-from .lp import LinearProgram, LpStatus, as_rational, optimize, solve_feasibility
+from .lp import LinearProgram, LpStatus, as_rational
 
 Pattern = tuple[int, ...]
 
@@ -41,42 +52,11 @@ CTX_POSITIONS = {ctx: (_A_POS[ctx], _B_POS[ctx]) for ctx in CONTEXTS}
 CONNECTION_NAMES = ("A1", "A2", "B1", "B2")
 CONNECTION_POSITIONS = {"A1": (0, 1), "A2": (2, 3), "B1": (4, 6), "B2": (5, 7)}
 
-# Coefficient rows of the 256-column coupling programs, built once as int
-# tuples and shared by every program; only the right-hand sides vary.
-
-
-def _indicator(indices) -> tuple[int, ...]:
-    row = [0] * 256
-    for k in indices:
-        row[k] = 1
-    return tuple(row)
-
-
-_NORMALIZATION = (1,) * 256
-# per context: the rows of three marginal cells; the fourth (-1, -1) is
-# redundant given normalization
-_CELLS = ((1, 1), (1, -1), (-1, 1))
-_CELL_ROWS = {
-    ctx: tuple(
-        _indicator(k for k, p in enumerate(ALL_PATTERNS) if (p[a], p[b]) == cell)
-        for cell in _CELLS
-    )
-    for ctx, (a, b) in CTX_POSITIONS.items()
-}
-# per connection: its sign in each pattern, and indicators of the patterns
-# where its two variables differ / agree
-_PRODUCT_SIGN = {
-    name: tuple(p[u] * p[v] for p in ALL_PATTERNS)
-    for name, (u, v) in CONNECTION_POSITIONS.items()
-}
-_DIFFER_ROWS = {
-    name: _indicator(k for k, s in enumerate(signs) if s < 0)
-    for name, signs in _PRODUCT_SIGN.items()
-}
-_EQUAL_ROWS = {
-    name: _indicator(k for k, s in enumerate(signs) if s > 0)
-    for name, signs in _PRODUCT_SIGN.items()
-}
+# The cycle as pattern positions, a11 first; edge k joins _CYCLE[k] and
+# _CYCLE[k + 1] (cyclically) and is either an observed context or a
+# connection.
+_CYCLE = (0, 4, 6, 2, 3, 7, 5, 1)
+_CYCLE_EDGES = ((1, 1), "B1", (2, 1), "A2", (2, 2), "B2", (1, 2), "A1")
 
 _EPS = 1e-9
 
@@ -139,6 +119,9 @@ class ConnectionVector:
                 )
             out.append(Fraction(v))
         return tuple(out)
+
+
+_IDENTITY = ConnectionVector(1, 1, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -215,59 +198,164 @@ def independent_coupling(s: Scenario) -> Coupling:
     return Coupling(mass)
 
 
-def _marginal_rows(s: Scenario) -> list[tuple[tuple[int, ...], Fraction]]:
-    rows = [(_NORMALIZATION, Fraction(1))]
-    for ctx in CONTEXTS:
+def _plus_means(s: Scenario) -> list[Fraction]:
+    """Pr[X = +1] of every variable, indexed by pattern position."""
+    means = [Fraction(0)] * 8
+    for ctx, (a, b) in CTX_POSITIONS.items():
         pd = s.pairs[ctx]
-        rows.extend(zip(_CELL_ROWS[ctx], (pd.prob(*cell) for cell in _CELLS)))
-    return rows
+        means[a] = pd.a_plus()
+        means[b] = pd.b_plus()
+    return means
 
 
-def _witness_coupling(witness) -> Coupling:
-    return Coupling({ALL_PATTERNS[k]: v for k, v in enumerate(witness) if v})
+def _fan_coupling(s: Scenario, targets: tuple[Fraction, ...]) -> Optional[Coupling]:
+    """A coupling with connection expectations targets (A1, A2, B1, B2), or
+    None when there is none.
+
+    Every edge of the cycle is given by its Pr[+, +] cell, which with the
+    two means fixes the edge's 2x2 table.  The fan from a11 cuts the cycle
+    into six triangles (a11, v_k, v_k+1) joined by the chords a11 - v_k.  A
+    triangle's 2x2x2 table is affine in its one free cell t = Pr[+, +, +],
+    so it exists iff four lower bounds on t sit below four upper bounds;
+    with chords x, y, known edge beta and means p, q, s of a11, v_k, v_k+1
+    those sixteen inequalities are the chord boxes (Frechet ranges), the
+    Frechet range of beta, and
+
+        A <= x + y <= B,   x - y <= C,   y - x <= D,
+
+    A = p + q + s - 1 - beta, B = p + beta, C = q - beta, D = s - beta.
+    The forward pass carries each chord's feasible interval to the next
+    chord (the first and last chords are the fixed edges a11 - b11 and
+    a11 - a12); the backward pass takes each chord at the low end its
+    successor allows and each t at its largest lower bound.
+
+    Passes and tables only add, subtract and compare, so they run on
+    integers over one denominator, `one`; the lift divides.
+    """
+    one = 4 * math.lcm(
+        *(v.denominator for pd in s.pairs.values() for v in pd.cells()),
+        *(t.denominator for t in targets),
+    )
+    means = [m.numerator * (one // m.denominator) for m in _plus_means(s)]
+
+    def frechet(p, q):
+        # pair_coupling_range in units of 1/one
+        return max(0, p + q - one), min(p, q)
+
+    edges = []
+    for k, link in enumerate(_CYCLE_EDGES):
+        if link in CONNECTION_POSITIONS:
+            p, q = means[_CYCLE[k]], means[_CYCLE[(k + 1) % 8]]
+            t = targets[CONNECTION_NAMES.index(link)]
+            # Pr[+, +] = (E[XY] - 1 + 2p + 2q) / 4, exact: 4 divides every term
+            r = (t.numerator * (one // t.denominator) - one + 2 * p + 2 * q) // 4
+            lo, hi = frechet(p, q)
+            if not lo <= r <= hi:
+                return None
+            edges.append(r)
+        else:
+            cell = s.pairs[link].p_pp
+            edges.append(cell.numerator * (one // cell.denominator))
+    p = means[0]
+    rim = [means[u] for u in _CYCLE[1:]]
+    boxes = [frechet(p, q) for q in rim]
+
+    # forward pass: intervals[j] holds every value of chord j that the
+    # triangles before it leave feasible
+    intervals = []
+    lo = hi = edges[0]
+    for j in range(6):
+        lo, hi = max(lo, boxes[j][0]), min(hi, boxes[j][1])
+        if lo > hi:
+            return None
+        intervals.append((lo, hi))
+        q, w, beta = rim[j], rim[j + 1], edges[j + 1]
+        lo, hi = (
+            max(boxes[j + 1][0], p + q + w - one - beta - hi, lo - (q - beta)),
+            min(boxes[j + 1][1], p + beta - lo, hi + (w - beta)),
+        )
+    if not lo <= edges[7] <= hi:
+        return None
+
+    # backward pass
+    chords = [edges[0]] + [None] * 5 + [edges[7]]
+    for j in range(5, 0, -1):
+        y, q, w, beta = chords[j + 1], rim[j], rim[j + 1], edges[j + 1]
+        chords[j] = max(intervals[j][0], p + q + w - one - beta - y, y - (w - beta))
+    tables = []
+    for j in range(6):
+        x, y, q, w, beta = chords[j], chords[j + 1], rim[j], rim[j + 1], edges[j + 1]
+        t = max(0, x + y - p, x + beta - q, y + beta - w)
+        tables.append({
+            (1, 1, 1): t,
+            (1, 1, -1): x - t,
+            (1, -1, 1): y - t,
+            (-1, 1, 1): beta - t,
+            (1, -1, -1): p - x - y + t,
+            (-1, 1, -1): q - x - beta + t,
+            (-1, -1, 1): w - y - beta + t,
+            (-1, -1, -1): one - p - q - w + x + y + beta - t,
+        })
+
+    coupling = Coupling(_lift(tables, one))
+    if not coupling.matches_scenario(s) or coupling.connection_expectations() != targets:
+        raise AssertionError("fan coupling misses a scenario pair or a connection target")
+    return coupling
+
+
+def _lift(tables, one: int) -> dict[Pattern, Fraction]:
+    """Glue the fan's triangle tables, cells in units of 1/one, along their
+    chords: a pattern's mass is the product of its triangle cells over the
+    product of its chord cells, taken over nonzero cells only."""
+    partial = {cell: (m, one) for cell, m in tables[0].items() if m}
+    for table in tables[1:]:
+        chord = {}
+        for (a, u, _), m in table.items():
+            chord[a, u] = chord.get((a, u), 0) + m
+        grown = {}
+        for seq, (num, den) in partial.items():
+            a, u = seq[0], seq[-1]
+            for w in (1, -1):
+                t = table[a, u, w]
+                if t:
+                    grown[seq + (w,)] = (num * t, den * chord[a, u])
+        partial = grown
+    mass = {}
+    for seq, (num, den) in partial.items():
+        pattern = [0] * 8
+        for position, sign in zip(_CYCLE, seq):
+            pattern[position] = sign
+        mass[tuple(pattern)] = Fraction(num, den)
+    return mass
 
 
 def coupling_exists(s: Scenario, conn: Optional[ConnectionVector] = None) -> CouplingVerdict:
     """Decide whether a coupling with the given connection expectations exists.
 
-    The program has one normalization row, three marginal rows per context,
-    and, when conn is given, one expectation row per connection.  A target of
-    +1 (resp. -1) additionally pins the mass of differing (resp. equal)
-    patterns to zero; those rows are implied by the expectation row and the
-    normalization, and let presolve shrink the problem drastically.
-
-    The coefficient rows are shared module-level int tuples, built once at
-    import; a call creates only its right-hand sides.
+    Without conn, each connection gets the product of its two means as
+    target, which the independent coupling always realizes.  A feasible
+    verdict carries the fan's certified witness.
     """
-    rows = _marginal_rows(s)
-    if conn is not None:
+    if conn is None:
+        means = _plus_means(s)
+        targets = tuple(
+            (2 * means[u] - 1) * (2 * means[v] - 1)
+            for u, v in (CONNECTION_POSITIONS[name] for name in CONNECTION_NAMES)
+        )
+    else:
         targets = conn.rational_components()
-        for name, t in zip(CONNECTION_NAMES, targets):
-            rows.append((_PRODUCT_SIGN[name], t))
-            if t == 1:
-                rows.append((_DIFFER_ROWS[name], Fraction(0)))
-            elif t == -1:
-                rows.append((_EQUAL_ROWS[name], Fraction(0)))
-    out = solve_feasibility(LinearProgram(256, rows))
-    if out.status is not LpStatus.FEASIBLE:
+    witness = _fan_coupling(s, targets)
+    if witness is None:
+        if conn is None:
+            raise AssertionError("the independent coupling realizes the product targets")
         return CouplingVerdict(False)
-    return CouplingVerdict(True, _witness_coupling(out.witness))
+    return CouplingVerdict(True, witness)
 
 
 def identity_coupling_exists(s: Scenario) -> CouplingVerdict:
-    """Existence of a coupling with all four connections almost surely equal.
-
-    Encoded as zero total mass on the patterns where a connected pair
-    differs; for each connection this is the same constraint as expectation
-    target +1.
-    """
-    rows = _marginal_rows(s)
-    for name in CONNECTION_NAMES:
-        rows.append((_DIFFER_ROWS[name], Fraction(0)))
-    out = solve_feasibility(LinearProgram(256, rows))
-    if out.status is not LpStatus.FEASIBLE:
-        return CouplingVerdict(False)
-    return CouplingVerdict(True, _witness_coupling(out.witness))
+    """Existence of a coupling with all four connections almost surely equal,
+    which is expectation target +1 on each of them."""
+    return coupling_exists(s, _IDENTITY)
 
 
 def pair_coupling_range(p, q) -> tuple[Fraction, Fraction]:
@@ -291,6 +379,9 @@ def pair_coupling_range_lp(p, q) -> tuple[Fraction, Fraction]:
     q = as_rational(q)
     if not (0 <= p <= 1 and 0 <= q <= 1):
         raise DomainError(f"marginal probabilities must lie in [0, 1], got {p}, {q}")
+    # no coupling question needs the LP; only this cross-check does
+    from .lp import optimize
+
     one = Fraction(1)
     zero = Fraction(0)
     lp = LinearProgram(
@@ -311,14 +402,17 @@ def pair_coupling_range_lp(p, q) -> tuple[Fraction, Fraction]:
 
 def connection_range(s: Scenario, which: str) -> tuple[Fraction, Fraction]:
     """Exact attainable range of one connection expectation over all
-    couplings of the scenario."""
-    _connection_positions(which)
-    lp = LinearProgram(256, _marginal_rows(s), objective=_PRODUCT_SIGN[which])
-    lo = optimize(lp, "min")
-    hi = optimize(lp, "max")
-    if lo.status is not LpStatus.FEASIBLE or hi.status is not LpStatus.FEASIBLE:
-        raise AssertionError("marginal coupling polytope is never empty or unbounded")
-    return lo.optimum, hi.optimum
+    couplings of the scenario.
+
+    One connection alone closes no cycle, so its range is the Frechet range
+    of its two variables' marginals, mapped from the (+1, +1) cell r to the
+    expectation 4r - 2p - 2q + 1.
+    """
+    u, v = _connection_positions(which)
+    means = _plus_means(s)
+    p, q = means[u], means[v]
+    lo, hi = pair_coupling_range(p, q)
+    return 4 * lo - 2 * p - 2 * q + 1, 4 * hi - 2 * p - 2 * q + 1
 
 
 def coupling_from_pattern_map(doc: Mapping[str, object]) -> Coupling:

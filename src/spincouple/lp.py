@@ -10,27 +10,19 @@ under Bland's anti-cycling rule, so results are deterministic and never
 carry floating-point doubt: a Feasible outcome includes an exact witness,
 Infeasible means exactly that.
 
-There is one pivot kernel, spincouple._kernel_pure.  It takes the
-presolved rows, right-hand side and objective as they are, ints and
-Fractions mixed, clears denominators itself, pivots fraction-free on plain
-ints and returns Fractions.
+There is one pivot kernel, spincouple._kernel_pure.  It takes the rows,
+right-hand side and objective as they are, ints and Fractions mixed,
+clears denominators itself, pivots fraction-free on plain ints and returns
+Fractions.
 
 Callers see fractions.Fraction everywhere, not the kernel's integer
-arithmetic.  A cheap presolve fixes variables that equality rows with zero
-right-hand side pin to zero; coupling problems with almost-sure-equality
-constraints collapse from 256 variables to a handful, which is what makes
-the large randomized campaigns affordable.  Presolve reads each row only
-through its sign masks, two ints used as bit sets of its positive and
-negative columns, and pins columns by bit operations on them.  The masks of
-a tuple row are memoised by value, so the shared coefficient rows of the
-coupling programs are scanned once per process, not once per solve.  The
-witness check likewise touches only the witness's nonzero entries, summing
+arithmetic.  Every witness is checked against every equality row before it
+is returned; the check touches only the witness's nonzero entries, summing
 in integers over the lcm of their denominators.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -112,93 +104,25 @@ class LinearProgram:
             )
 
 
-def _sign_masks(row) -> tuple[int, int]:
-    """(pos, neg): bit j is set when row[j] > 0, resp. row[j] < 0."""
-    pos = neg = 0
-    for j, v in enumerate(row):
-        if v > 0:
-            pos |= 1 << j
-        elif v < 0:
-            neg |= 1 << j
-    return pos, neg
-
-
-# Coupling programs draw their coefficient rows from a few dozen shared
-# tuples; memoised by value, each of them is scanned once per process.
-_memo_sign_masks = functools.lru_cache(maxsize=64)(_sign_masks)
-
-
-def _presolve(lp: LinearProgram):
-    """Fix variables that zero-rhs single-signed rows force to zero.
-
-    Returns ('infeasible', None) when a row is contradictory on its face,
-    else ('reduced', (keep, rows, rhs)) where keep maps reduced columns back
-    to original indices and rows/rhs hold the reduced system (zero rows
-    dropped).
-    """
-    n = lp.num_vars
-    masks = [
-        _memo_sign_masks(row) if type(row) is tuple else _sign_masks(row)
-        for row, _ in lp.equalities
-    ]
-    src_rhs = [b for _, b in lp.equalities]
-    forced = 0
-    changed = True
-    while changed:
-        changed = False
-        for (pos, neg), b in zip(masks, src_rhs):
-            pos &= ~forced
-            neg &= ~forced
-            if pos and neg:
-                continue
-            if not pos and not neg:
-                if b != 0:
-                    return "infeasible", None
-                continue
-            if b == 0:
-                # single-signed row summing to zero: every participating
-                # variable is pinned to 0 by nonnegativity
-                forced |= pos | neg
-                changed = True
-            elif (b > 0 and not pos) or (b < 0 and not neg):
-                return "infeasible", None
-    keep = [j for j in range(n) if not forced >> j & 1]
-    rows = []
-    rhs = []
-    # a row left without free columns has zero rhs, or the last pass above
-    # would have returned; it is dropped
-    for (row, b), (pos, neg) in zip(lp.equalities, masks):
-        if (pos | neg) & ~forced:
-            rows.append([row[j] for j in keep])
-            rhs.append(b)
-    return "reduced", (keep, rows, rhs)
-
-
 def _solve(lp: LinearProgram, objective, maximize: bool) -> LpOutcome:
     lp.validate()
-    verdict, reduced = _presolve(lp)
-    if verdict == "infeasible":
-        return LpOutcome(LpStatus.INFEASIBLE)
-    keep, rows, rhs = reduced
+    rows = [row for row, _ in lp.equalities]
+    rhs = [b for _, b in lp.equalities]
 
     if not rows and objective is None:
-        # nothing constrains the surviving variables; the kernel cannot
-        # even infer their count without rows or an objective
+        # nothing constrains the variables; the kernel cannot even infer
+        # their count without rows or an objective
         witness = tuple(Fraction(0) for _ in range(lp.num_vars))
         _check_witness(lp, witness)
         return LpOutcome(LpStatus.FEASIBLE, witness, None)
 
-    kobj = None if objective is None else [objective[j] for j in keep]
-    code, wit, opt = _kernel.solve(rows, rhs, kobj, maximize)
+    code, wit, opt = _kernel.solve(rows, rhs, objective, maximize)
     if code == _kernel_pure.INFEASIBLE:
         return LpOutcome(LpStatus.INFEASIBLE)
     if code == _kernel_pure.UNBOUNDED:
         return LpOutcome(LpStatus.UNBOUNDED)
 
-    full = [Fraction(0)] * lp.num_vars
-    for j, v in zip(keep, wit):
-        full[j] = v
-    witness = tuple(full)
+    witness = tuple(wit)
     _check_witness(lp, witness)
     optimum = None
     if objective is not None:

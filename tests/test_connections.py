@@ -13,6 +13,7 @@ from spincouple import (
     correlation,
     coupling_exists,
     exact_connection,
+    family_report,
     rationalize,
     satisfies_s1_prime,
     satisfies_s2_prime,
@@ -20,6 +21,8 @@ from spincouple import (
     test_fitting as role_fitting,
     test_forcing as role_forcing,
 )
+
+import reference_coupling as oracle
 
 F = Fraction
 
@@ -128,6 +131,26 @@ def test_s1_vector_is_not_equivalent_for_quantum():
     # fitting: some quantum member refuses them
     assert not feasible
     assert not bell_ch_fine(_corrs(s)).satisfied
+
+
+@pytest.mark.parametrize(
+    "conn, family, seed",
+    [
+        # a random vector that interior samples once called tsirelson-equivalent
+        ((-0.796768, 0.734316, -0.99628, 0.953224), "tsirelson", 183433334644710907),
+        # refuted at an odd sign direction, r * sigma with r just below sqrt(2)/2
+        ((1, 1, 1, 1), "quantum", 3),
+    ],
+)
+def test_fitting_refutation_at_extreme_point_is_certified(conn, family, seed):
+    res = role_fitting(conn, family, seed, 20)
+    assert not res.verdict and res.samples_checked <= 16
+    s, detail = res.counterexample
+    assert family in detail
+    # a family member that admits no coupling, by the cycle and by the LP
+    assert family_report(family, _corrs(s)).satisfied
+    assert not coupling_exists(s, exact_connection(conn)).feasible
+    assert not oracle.coupling_exists(s, exact_connection(conn)).feasible
 
 
 def test_role_input_validation():

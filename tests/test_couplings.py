@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spincouple
 from spincouple import (
     ALL_PATTERNS,
     CONNECTION_NAMES,
@@ -190,6 +194,46 @@ def test_connection_vector_validation():
         v.rational_components()  # float component present
     w = ConnectionVector(F(1, 4), F(1, 2), F(0), F(-1))
     assert w.rational_components() == (F(1, 4), F(1, 2), F(0), F(-1))
+
+
+_FORGED_LIFT = """
+from fractions import Fraction as F
+
+import spincouple.couplings as couplings
+from spincouple import ConnectionVector, independent_coupling, scenario_from_correlations
+
+s = scenario_from_correlations([F(0)] * 4)
+couplings._lift = lambda tables, one: {forged}
+try:
+    couplings.coupling_exists(s, ConnectionVector({targets}))
+except AssertionError as exc:
+    print("raised:", exc)
+"""
+
+
+@pytest.mark.parametrize(
+    "forged, targets",
+    [
+        # all mass on one pattern: every context marginal is off
+        ("{(1,) * 8: F(1)}", "0, 0, 0, 0"),
+        # the scenario's marginals, but connection A1 has expectation 0
+        ("independent_coupling(s).mass", "F(1, 2), 0, 0, 0"),
+    ],
+)
+def test_fan_certification_survives_python_O(forged, targets):
+    # a lifted coupling that misses the scenario or a target raises
+    # explicitly, so -O (unlike an assert) cannot strip the check
+    src = os.path.dirname(os.path.dirname(spincouple.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _FORGED_LIFT.format(forged=forged, targets=targets)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised: fan coupling misses"), out.stdout
 
 
 # ------------------------------------------------------------ Frechet range

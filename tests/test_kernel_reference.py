@@ -4,7 +4,9 @@ spincouple._kernel_pure pivots on integers over a shared denominator;
 reference_kernel runs the same Bland simplex on fractions.Fraction.  Both
 choose the same pivots, so status, witness and optimum must be exactly
 equal on every program: random ones, and the programs spincouple.lp hands
-the kernel for real coupling questions, captured as they are passed.
+the kernel for the 256-column coupling programs of tests/reference_coupling,
+captured as they are passed.  The library's own coupling questions never
+reach the kernel; a test here holds them to that.
 """
 
 import copy
@@ -23,6 +25,7 @@ from spincouple import (
 )
 from spincouple.sampling import sample_scenario_stratum
 
+import reference_coupling as oracle
 import reference_kernel as reference
 from reference_kernel import random_case
 
@@ -120,30 +123,46 @@ def test_captured_coupling_programs_match_reference(
     monkeypatch, fair_scenario, mixed_scenario
 ):
     signaling = sample_scenario_stratum("nosig-violating", 7, 0)
-    full = [
-        lambda: coupling_exists(fair_scenario, _TARGETS),
-        lambda: coupling_exists(signaling, _TARGETS),
-        lambda: connection_range(signaling, "A1"),
-        lambda: coupling_exists(signaling),
-    ]
-    collapsed = [
-        lambda: identity_coupling_exists(mixed_scenario),
-        lambda: coupling_exists(mixed_scenario, ConnectionVector(1, -1, 1, 1)),
-        lambda: coupling_exists(mixed_scenario, ConnectionVector(1, 1, 1, 1)),
+    questions = [
+        lambda: oracle.coupling_exists(fair_scenario, _TARGETS),
+        lambda: oracle.coupling_exists(signaling, _TARGETS),
+        lambda: oracle.connection_range(signaling, "A1"),
+        lambda: oracle.coupling_exists(signaling),
     ]
     statuses = []
     objectives = 0
-    for questions, full_width in ((full, True), (collapsed, False)):
-        for question in questions:
-            for program in _capture(monkeypatch, question):
-                assert (_width(program) == 256) is full_width
-                if full_width:
-                    # the shared 0/+-1 coupling rows reach the kernel as ints
-                    assert all(type(v) is int for row in program[0] for v in row)
-                objectives += program[2] is not None
-                statuses.append(_assert_same(program))
+    for question in questions:
+        for program in _capture(monkeypatch, question):
+            assert _width(program) == 256
+            # the shared 0/+-1 coupling rows reach the kernel as ints
+            assert all(type(v) is int for row in program[0] for v in row)
+            objectives += program[2] is not None
+            statuses.append(_assert_same(program))
     assert objectives == 2  # connection_range: one min, one max
     assert pure.FEASIBLE in statuses and pure.INFEASIBLE in statuses
+
+
+def test_coupling_questions_never_reach_the_kernel(
+    monkeypatch, fair_scenario, mixed_scenario, pr_box_scenario
+):
+    calls = []
+
+    class Recorder:
+        @staticmethod
+        def solve(*args):
+            calls.append(args)
+            return pure.solve(*args)
+
+    monkeypatch.setattr(lp, "_kernel", Recorder)
+    signaling = sample_scenario_stratum("nosig-violating", 7, 0)
+    for s in (fair_scenario, mixed_scenario, pr_box_scenario, signaling):
+        coupling_exists(s)
+        coupling_exists(s, _TARGETS)
+        coupling_exists(s, ConnectionVector(1, -1, 1, 1))
+        identity_coupling_exists(s)
+        for name in ("A1", "A2", "B1", "B2"):
+            connection_range(s, name)
+    assert calls == []
 
 
 def test_inexact_division_raises():
