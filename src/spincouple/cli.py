@@ -330,10 +330,7 @@ def cmd_connections(args) -> int:
     runner = {"fitting": test_fitting, "forcing": test_forcing, "equivalent": test_equivalent}[
         args.role
     ]
-    try:
-        result = runner(conn, args.family, args.seed, args.n)
-    except SpincoupleError as exc:
-        raise CliError(str(exc)) from None
+    result = runner(conn, args.family, args.seed, args.n)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "connections",
@@ -368,11 +365,7 @@ def cmd_conditionalize(args) -> int:
         values = [Fraction(t.strip()) for t in toks]
     except (ValueError, ZeroDivisionError):
         raise CliError(f"--pi: cannot parse {args.pi!r}; components must be rationals") from None
-    try:
-        pi = ConditionDistribution({ctx: v for ctx, v in zip(CONTEXTS, values)})
-    except SpincoupleError as exc:
-        # zero or negative condition probability, or bad sum
-        raise CliError(str(exc)) from None
+    pi = ConditionDistribution({ctx: v for ctx, v in zip(CONTEXTS, values)})
     cc = build_conditional(args.kind, scenario, pi)
     ok = verify_conditionals(cc, scenario)
     table = {key: {} for key in _CTX_KEYS}
@@ -468,10 +461,7 @@ def _demo_tree(args) -> tuple[dict, str, int]:
     p = _parse_exact(args.p, "--p")
     q = _parse_exact(args.q, "--q")
     pi_root = _parse_exact(args.pi_root, "--pi-root")
-    try:
-        table = two_condition_tree(p, q, pi_root)
-    except SpincoupleError as exc:
-        raise CliError(str(exc)) from None
+    table = two_condition_tree(p, q, pi_root)
     doc = {
         "name": "tree",
         "p": _rat(p),
@@ -606,10 +596,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SpincoupleError as exc:
+    except (CliError, SpincoupleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

@@ -14,8 +14,9 @@ connection expectations) are decided on the cycle
 whose edges alternate the four observed contexts and the four connections;
 no question constrains a pair off the cycle.  Cutting the cycle into
 triangles fanned out from a11 turns existence into exact interval
-propagation along the five chords, and gluing the triangle tables gives a
-witness coupling, certified against the scenario and the targets.  (The
+propagation along the five chords.  Gluing the triangle tables chord by
+chord with the north-west-corner rule gives a witness coupling on at most
+28 patterns, certified against the scenario and the targets.  (The
 cycle's cut polytope is cut out by triangle and cycle inequalities:
 Barahona & Mahjoub, Math. Prog. 36, 1986.)
 
@@ -35,7 +36,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping, Optional, Union
 
-from .distributions import CONTEXTS, Context, PairDistribution, Scenario
+from .distributions import CONTEXTS, Context, PairDistribution, Scenario, _check_components
 from .errors import DomainError, StructuralError
 from .lp import LinearProgram, LpStatus, as_rational
 
@@ -57,8 +58,6 @@ CONNECTION_POSITIONS = {"A1": (0, 1), "A2": (2, 3), "B1": (4, 6), "B2": (5, 7)}
 # connection.
 _CYCLE = (0, 4, 6, 2, 3, 7, 5, 1)
 _CYCLE_EDGES = ((1, 1), "B1", (2, 1), "A2", (2, 2), "B2", (1, 2), "A1")
-
-_EPS = 1e-9
 
 
 def pattern_key(pattern: Pattern) -> str:
@@ -90,17 +89,7 @@ class ConnectionVector:
     cB2: Union[Fraction, float]
 
     def __post_init__(self) -> None:
-        for name in ("cA1", "cA2", "cB1", "cB2"):
-            v = getattr(self, name)
-            if isinstance(v, float):
-                if abs(v) > 1.0 + _EPS:
-                    raise DomainError(f"{name} = {v} is outside [-1, 1]")
-                v = min(1.0, max(-1.0, v))
-            else:
-                v = as_rational(v)
-                if v < -1 or v > 1:
-                    raise DomainError(f"{name} = {v} is outside [-1, 1]")
-            object.__setattr__(self, name, v)
+        _check_components(self, ("cA1", "cA2", "cB1", "cB2"))
 
     def components(self) -> tuple:
         return (self.cA1, self.cA2, self.cB1, self.cB2)
@@ -229,8 +218,9 @@ def _fan_coupling(s: Scenario, targets: tuple[Fraction, ...]) -> Optional[Coupli
     a11 - a12); the backward pass takes each chord at the low end its
     successor allows and each t at its largest lower bound.
 
-    Passes and tables only add, subtract and compare, so they run on
-    integers over one denominator, `one`; the lift divides.
+    Passes, tables and the north-west-corner glue (_lift) only add,
+    subtract and compare, so they run on integers over one denominator,
+    `one`; nothing divides until the witness masses become Fractions.
     """
     one = 4 * math.lcm(
         *(v.denominator for pd in s.pairs.values() for v in pd.cells()),
@@ -305,27 +295,27 @@ def _fan_coupling(s: Scenario, targets: tuple[Fraction, ...]) -> Optional[Coupli
 
 def _lift(tables, one: int) -> dict[Pattern, Fraction]:
     """Glue the fan's triangle tables, cells in units of 1/one, along their
-    chords: a pattern's mass is the product of its triangle cells over the
-    product of its chord cells, taken over nonzero cells only."""
-    partial = {cell: (m, one) for cell, m in tables[0].items() if m}
+    chords by the north-west-corner rule: walking the atoms in order, those
+    in chord cell (a11, v_k) = (a, u) fill the cell (a, u, +1) first and
+    the rest goes to (a, u, -1).  Consecutive triangles share the chord's
+    table, so both cells are filled exactly; each chord cell splits at most
+    one atom, so the support is at most 8 + 5 * 4 = 28 patterns."""
+    atoms = [(cell, m) for cell, m in tables[0].items() if m]
     for table in tables[1:]:
-        chord = {}
-        for (a, u, _), m in table.items():
-            chord[a, u] = chord.get((a, u), 0) + m
-        grown = {}
-        for seq, (num, den) in partial.items():
-            a, u = seq[0], seq[-1]
-            for w in (1, -1):
-                t = table[a, u, w]
-                if t:
-                    grown[seq + (w,)] = (num * t, den * chord[a, u])
-        partial = grown
+        room = {(a, u): table[a, u, 1] for a in (1, -1) for u in (1, -1)}
+        grown = []
+        for seq, m in atoms:
+            chord = seq[0], seq[-1]
+            plus = min(m, room[chord])
+            room[chord] -= plus
+            grown += [(seq + (w,), n) for w, n in ((1, plus), (-1, m - plus)) if n]
+        atoms = grown
     mass = {}
-    for seq, (num, den) in partial.items():
+    for seq, m in atoms:
         pattern = [0] * 8
         for position, sign in zip(_CYCLE, seq):
             pattern[position] = sign
-        mass[tuple(pattern)] = Fraction(num, den)
+        mass[tuple(pattern)] = Fraction(m, one)
     return mass
 
 

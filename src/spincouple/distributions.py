@@ -80,6 +80,23 @@ class Scenario:
         return CorrelationVector(*(correlation(self.pairs[c]) for c in CONTEXTS))
 
 
+def _check_components(obj, names: tuple[str, ...]) -> None:
+    """Store the named components of a frozen dataclass, each in [-1, 1]:
+    rationals exactly, floats clamped when at most 1e-9 outside (NaN is
+    refused)."""
+    for name in names:
+        v = getattr(obj, name)
+        if isinstance(v, float):
+            if not abs(v) <= 1.0 + _EPS:
+                raise DomainError(f"{name} = {v} is outside [-1, 1]")
+            v = min(1.0, max(-1.0, v))
+        else:
+            v = as_rational(v)
+            if v < -1 or v > 1:
+                raise DomainError(f"{name} = {v} is outside [-1, 1]")
+        object.__setattr__(obj, name, v)
+
+
 @dataclass(frozen=True)
 class CorrelationVector:
     """The four pair expectations (e11, e12, e21, e22), each in [-1, 1].
@@ -95,20 +112,7 @@ class CorrelationVector:
     e22: Union[Fraction, float]
 
     def __post_init__(self) -> None:
-        for name in ("e11", "e12", "e21", "e22"):
-            v = getattr(self, name)
-            if isinstance(v, float):
-                if abs(v) > 1.0 + _EPS:
-                    raise DomainError(f"{name} = {v} is outside [-1, 1]")
-                if v > 1.0:
-                    v = 1.0
-                elif v < -1.0:
-                    v = -1.0
-            else:
-                v = as_rational(v)
-                if v < -1 or v > 1:
-                    raise DomainError(f"{name} = {v} is outside [-1, 1]")
-            object.__setattr__(self, name, v)
+        _check_components(self, ("e11", "e12", "e21", "e22"))
 
     def components(self) -> tuple:
         return (self.e11, self.e12, self.e21, self.e22)

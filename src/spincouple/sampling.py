@@ -6,12 +6,12 @@ whether slots are evaluated serially or in parallel, and independent of
 how many earlier slots were drawn.
 
 Correlation components are drawn uniformly from the grid k/1000,
-k in [-1000, 1000]: exact rationals with small denominators keep the LP
-pivots cheap, and the grid is dense enough that every family stratum has
-ample probability.  Family membership is enforced with a margin of 1e-4
-from the boundary, which absorbs the worst-case perturbation from
-rationalizing irrational connection targets at denominator <= 10^6
-(connection tests feed those rationalized targets to the exact LP).
+k in [-1000, 1000]: exact rationals with small denominators keep the
+integers of the exact coupling decision small, and the grid is dense
+enough that every family stratum has ample probability.  Family membership is enforced with a margin of 1e-4 from the
+boundary, which absorbs the worst-case perturbation from rationalizing
+irrational connection targets at denominator <= 10^6 (connection tests
+feed those rationalized targets to that exact decision).
 """
 
 from __future__ import annotations

@@ -33,6 +33,8 @@ SCENARIOS_PER_STRATUM = 4
 def _assert_certified(verdict, program):
     """The witness meets every equality row of the oracle's program."""
     mass = verdict.witness.mass
+    # 8 first-triangle cells, then at most one split per chord cell in 5 more
+    assert len(mass) <= 8 + 5 * 4
     column = [mass.get(p, F(0)) for p in ALL_PATTERNS]
     assert all(v >= 0 for v in column)
     for row, b in program.equalities:

@@ -189,6 +189,8 @@ def test_connection_vector_validation():
         ConnectionVector(F(3, 2), F(0), F(0), F(0))
     with pytest.raises(DomainError):
         ConnectionVector(1.5, 0.0, 0.0, 0.0)
+    with pytest.raises(DomainError):
+        ConnectionVector(0.0, float("nan"), 0.0, 0.0)
     v = ConnectionVector(0.25, F(1, 2), F(0), F(-1))
     with pytest.raises(DomainError):
         v.rational_components()  # float component present

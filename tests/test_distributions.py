@@ -80,6 +80,8 @@ def test_correlation_vector_clamps_one_ulp_floats():
         CorrelationVector(1.1, 0, 0, 0)
     with pytest.raises(DomainError):
         CorrelationVector(F(11, 10), 0, 0, 0)
+    with pytest.raises(DomainError):
+        CorrelationVector(0, 0, float("nan"), 0)
 
 
 def test_no_signaling_holds_for_uniform_marginal_scenarios(mixed_scenario):
