@@ -20,10 +20,18 @@ from spincouple import (
     sample_scenario_in_family,
     sample_scenario_stratum,
     sample_uniform_marginal_scenario,
+    scenario_from_correlations,
     slot_rng,
 )
 
+import reference_sampling as oracle
+
 F = Fraction
+
+# the seeds of acceptance checks 1 and 5-8 (tests/test_acceptance.py)
+SEED_FINE = 20260814
+SEED_UNINFORMATIVE = 1729
+SEED_SIGN_VECTORS = 42
 
 
 def test_derive_seed_is_stateless_and_spread():
@@ -109,6 +117,78 @@ def test_sampler_exhaustion_is_reported(monkeypatch):
     assert exc.value.draws == 0
     with pytest.raises(SamplerExhausted):
         sampling.sample_scenario_stratum("nosig-violating", 0, 0)
+    # names are checked before the first draw, not reported as exhaustion
+    with pytest.raises(DomainError):
+        sampling.sample_scenario_in_family("classical", True, 0, 0)
+    with pytest.raises(DomainError):
+        sampling.sample_scenario_stratum("post-quantum", 0, 0)
+
+
+def _numerators_with_chsh(m: int) -> tuple[int, ...]:
+    """Four numerators in [-GRID, GRID] whose chsh_max is m / GRID."""
+    parts = [min(GRID, max(0, m - GRID * i)) for i in range(4)]
+    return (parts[0], parts[1], parts[2], -parts[3])
+
+
+def test_numerator_decisions_equal_the_fraction_comparisons_for_every_m():
+    import spincouple.sampling as sampling
+
+    for m in range(4 * GRID + 1):
+        k = _numerators_with_chsh(m)
+        comps = tuple(F(v, GRID) for v in k)
+        # the negated component may sit in any slot, and the sum may be negative
+        for shifted in (k[i:] + k[:i] for i in range(4)):
+            for signed in (shifted, tuple(-v for v in shifted)):
+                assert sampling._chsh_numerator(signed) == m, (signed, m)
+        assert chsh_max(comps) * GRID == m
+        for family in ("bell", "tsirelson"):
+            inside, outside = oracle._family_distance(comps, family)
+            assert sampling._FAMILY_TESTS[family, True](k) == inside, (family, m)
+            assert sampling._FAMILY_TESTS[family, False](k) == outside, (family, m)
+
+
+def test_per_numerator_caches_equal_the_fraction_route_for_every_k():
+    import spincouple.sampling as sampling
+
+    for k in range(-GRID, GRID + 1):
+        e = F(k, GRID)
+        lifted = scenario_from_correlations([e] * 4)
+        assert all(sampling._grid_pair(k) == lifted.pairs[ctx] for ctx in CONTEXTS)
+        assert sampling._asin(k) == math.asin(float(e))
+
+
+# Checks 7 and 8 refute forcing at once and so draw only slots 0 and 1 of
+# each seed; ten slots per seed cover them with room to spare.
+_ORACLE_CASES = {
+    "check 6 bell members": [("bell", True, SEED_SIGN_VECTORS, k) for k in range(16, 100)],
+    "check 6 bell violators": [("bell", False, SEED_SIGN_VECTORS, k) for k in range(100)],
+    "check 7 quantum violators": [
+        ("quantum", False, 7000 + i, k) for i in range(100) for k in range(10)
+    ],
+    "check 8 quantum and bell violators": [
+        (family, False, 8000 + i, k)
+        for i in range(50) for family in ("quantum", "bell") for k in range(10)
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_family_samples_equal_the_fraction_oracle(case):
+    for request in _ORACLE_CASES[case]:
+        assert sample_scenario_in_family(*request) == oracle.sample_scenario_in_family(*request), request
+
+
+def test_campaign_samples_equal_the_fraction_oracle():
+    # acceptance check 5 cycles the strata over 500 slots; check 1 draws 1000
+    for k in range(500):
+        stratum = STRATA[k % len(STRATA)]
+        assert sample_scenario_stratum(stratum, SEED_UNINFORMATIVE, k) == (
+            oracle.sample_scenario_stratum(stratum, SEED_UNINFORMATIVE, k)
+        ), (stratum, k)
+    for k in range(1000):
+        assert sample_uniform_marginal_scenario(SEED_FINE, k) == (
+            oracle.sample_uniform_marginal_scenario(SEED_FINE, k)
+        ), k
 
 
 def test_condition_distribution_sampler():
