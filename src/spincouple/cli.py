@@ -12,8 +12,10 @@ bit; configuration is flags only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -578,12 +580,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main builds the parser once per process; parsing does not change it
+_shared_parser = functools.cache(build_parser)
+
 _DEMO_DEFAULT_N = {"fine": 1000, "uninformative": 500}
+
+# flags whose value is a comma-separated number list, which may start with "-"
+_NUMBER_LIST_FLAGS = ("--conn", "--connections", "--correlations", "--pi")
+_LEADING_MINUS = re.compile(r"-[0-9./]")
+
+
+def _join_negative_values(argv) -> list[str]:
+    """Write "--conn -1,1,1,1" as "--conn=-1,1,1,1": argparse takes a
+    separate value that starts with "-" and is not a plain number for an
+    option.  Only number-list flags followed by a value that looks like a
+    number list are joined; everything else is left for argparse."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in _NUMBER_LIST_FLAGS and _LEADING_MINUS.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _shared_parser().parse_args(_join_negative_values(argv))
     if args.subcommand == "demo" and args.n is None:
         args.n = _DEMO_DEFAULT_N.get(args.name, 0)
     n = getattr(args, "n", None)

@@ -16,10 +16,17 @@ does not observe:
 Every construction succeeds for every scenario, including ones violating
 no-signaling or every inequality family, which is the point: conditioning
 on C places no constraint across contexts.
+
+Tables hold exact Fractions.  Each cell is built as one Fraction from the
+products of its factors' numerators and denominators, and the checks
+(total mass, condition marginal, the conditionals in verify_conditionals)
+sum the masses as integer numerators over the lcm of the table's
+denominators.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -117,38 +124,58 @@ class ConditionalCoupling:
         if self.kind not in KINDS:
             raise StructuralError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
         clean = {}
-        total = Fraction(0)
         for (ctx, pattern), v in self.table.items():
             if ctx not in CONTEXTS:
                 raise StructuralError(f"unknown context {ctx!r} in table")
-            v = as_rational(v)
-            if v < 0:
+            if type(v) is not Fraction:
+                v = as_rational(v)
+            if v.numerator < 0:
                 raise DomainError(f"negative table mass {v} at {(ctx, pattern)}")
-            if v:
+            if v.numerator:
                 clean[(ctx, tuple(pattern))] = v
-                total += v
-        if total != 1:
-            raise DomainError(f"table mass sums to {total}, expected 1")
+        scale, nums = _over_lcm(clean.values())
+        if sum(nums) != scale:
+            raise DomainError(f"table mass sums to {Fraction(sum(nums), scale)}, expected 1")
         object.__setattr__(self, "table", clean)
 
     def condition_marginal(self) -> dict[Context, Fraction]:
-        out = {ctx: Fraction(0) for ctx in CONTEXTS}
-        for (ctx, _), v in self.table.items():
-            out[ctx] += v
-        return out
+        scale, nums = _over_lcm(self.table.values())
+        weight = dict.fromkeys(CONTEXTS, 0)
+        for (ctx, _), m in zip(self.table, nums):
+            weight[ctx] += m
+        return {ctx: Fraction(w, scale) for ctx, w in weight.items()}
 
     def conditional_pair_distribution(self, ctx: Context) -> dict[tuple[int, int], Fraction]:
         """Distribution of the relevant pair (A'_i, B'_j) given C = ctx."""
-        weight = Fraction(0)
-        cells = {cell: Fraction(0) for cell in _CELLS}
-        for (c, pattern), v in self.table.items():
-            if c != ctx:
-                continue
-            weight += v
-            cells[_relevant_pair(self.kind, ctx, pattern)] += v
-        if not weight:
+        weight, sums = _pair_sums(
+            self.kind, {key: v for key, v in self.table.items() if key[0] == ctx}
+        )
+        if not weight[ctx]:
             raise DomainError(f"condition {ctx} carries zero mass; conditional undefined")
-        return {cell: v / weight for cell, v in cells.items()}
+        return {cell: Fraction(m, weight[ctx]) for (c, cell), m in sums.items() if c == ctx}
+
+
+def _over_lcm(values) -> tuple[int, list[int]]:
+    """The lcm L of the denominators of some Fractions, and each one's
+    numerator over L."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = math.lcm(*(d for _, d in ratios))
+    return scale, [n * (scale // d) for n, d in ratios]
+
+
+def _pair_sums(kind: str, table) -> tuple[dict, dict]:
+    """Per-context weights and per-(context, relevant pair) sums of a table's
+    masses, as integers over the lcm of the table's denominators.  The 16
+    scenario cells come first; a relevant pair outside {+1, -1}^2 (a zero
+    pattern in an even table) gets a key of its own."""
+    _, nums = _over_lcm(table.values())
+    weight = dict.fromkeys(CONTEXTS, 0)
+    sums = dict.fromkeys(product(CONTEXTS, _CELLS), 0)
+    for (ctx, pattern), m in zip(table, nums):
+        weight[ctx] += m
+        key = (ctx, _relevant_pair(kind, ctx, pattern))
+        sums[key] = sums.get(key, 0) + m
+    return weight, sums
 
 
 def _relevant_pair(kind: str, ctx: Context, pattern: tuple[int, ...]) -> tuple[int, int]:
@@ -166,11 +193,11 @@ def simple_conditional_coupling(s: Scenario, pi: ConditionDistribution) -> Condi
     """Pr[C = (i,j), (A', B') = (a, b)] = pi_ij * Pr[A_ij = a, B_ij = b]."""
     table = {}
     for ctx in CONTEXTS:
-        pd = s.pairs[ctx]
-        for a, b in _CELLS:
-            m = pi.pi[ctx] * pd.prob(a, b)
-            if m:
-                table[(ctx, (a, b))] = m
+        wn, wd = pi.pi[ctx].as_integer_ratio()
+        for cell, p in zip(_CELLS, s.pairs[ctx].cells()):
+            pn, pd = p.as_integer_ratio()
+            if pn:
+                table[(ctx, cell)] = Fraction(wn * pn, wd * pd)
     return ConditionalCoupling(KIND_SIMPLE, table)
 
 
@@ -181,24 +208,24 @@ def even_partition_coupling(
 
     Under condition (i, j) the relevant coordinates (a_i, b_j) follow the
     scenario pair and the irrelevant coordinates (a_{3-i}, b_{3-j}) follow
-    the partition weights t_ij, independently:
+    the partition weights t_ij (default uniform 1/4), independently:
 
         mass = pi_ij * t_ij(a_{3-i}, b_{3-j}) * Pr[A_ij = a_i, B_ij = b_j]
     """
-    if t is None:
-        t = PartitionWeights.uniform()
     table = {}
     for ctx in CONTEXTS:
         i, j = ctx
-        pd = s.pairs[ctx]
+        wn, wd = pi.pi[ctx].as_integer_ratio()
+        rel = {cell: p.as_integer_ratio() for cell, p in zip(_CELLS, s.pairs[ctx].cells())}
+        if t is None:
+            irr = dict.fromkeys(_CELLS, (1, 4))
+        else:
+            irr = {cell: q.as_integer_ratio() for cell, q in t.t[ctx].items()}
         for pattern in product(_PM, _PM, _PM, _PM):
-            a_rel = pattern[i - 1]
-            b_rel = pattern[2 + (j - 1)]
-            a_irr = pattern[2 - i]
-            b_irr = pattern[2 + (2 - j)]
-            m = pi.pi[ctx] * t.t[ctx][(a_irr, b_irr)] * pd.prob(a_rel, b_rel)
-            if m:
-                table[(ctx, pattern)] = m
+            pn, pd = rel[(pattern[i - 1], pattern[2 + (j - 1)])]
+            qn, qd = irr[(pattern[2 - i], pattern[2 + (2 - j)])]
+            if pn and qn:
+                table[(ctx, pattern)] = Fraction(wn * qn * pn, wd * qd * pd)
     return ConditionalCoupling(KIND_EVEN, table)
 
 
@@ -209,15 +236,15 @@ def zero_padded_coupling(s: Scenario, pi: ConditionDistribution) -> ConditionalC
     table = {}
     for ctx in CONTEXTS:
         i, j = ctx
-        pd = s.pairs[ctx]
-        for a, b in _CELLS:
-            m = pi.pi[ctx] * pd.prob(a, b)
-            if not m:
+        wn, wd = pi.pi[ctx].as_integer_ratio()
+        for (a, b), p in zip(_CELLS, s.pairs[ctx].cells()):
+            pn, pd = p.as_integer_ratio()
+            if not pn:
                 continue
             pattern = [0, 0, 0, 0]
             pattern[i - 1] = a
             pattern[2 + (j - 1)] = b
-            table[(ctx, tuple(pattern))] = m
+            table[(ctx, tuple(pattern))] = Fraction(wn * pn, wd * pd)
     return ConditionalCoupling(KIND_ZERO, table)
 
 
@@ -233,15 +260,22 @@ def build_conditional(kind: str, s: Scenario, pi: ConditionDistribution) -> Cond
 
 def verify_conditionals(cc: ConditionalCoupling, s: Scenario) -> bool:
     """Exact check: for every context, the conditional distribution of the
-    relevant pair equals the scenario's pair distribution."""
-    marginal = cc.condition_marginal()
+    relevant pair equals the scenario's pair distribution.
+
+    One pass over cc.table sums its Fraction masses as integers over the
+    table's lcm, per context and per (context, relevant pair); a context's
+    conditional matches the scenario cell p when sum * p.denominator equals
+    p.numerator * weight.  Only the table and the scenario are read, so the
+    check does not rely on how the table was built.
+    """
+    weight, sums = _pair_sums(cc.kind, cc.table)
     for ctx in CONTEXTS:
-        if not marginal[ctx]:
+        w = weight[ctx]
+        if not w:
             return False
-        cond = cc.conditional_pair_distribution(ctx)
-        pd = s.pairs[ctx]
-        if any(cond[cell] != pd.prob(*cell) for cell in _CELLS):
-            return False
+        for cell, p in zip(_CELLS, s.pairs[ctx].cells()):
+            if sums[(ctx, cell)] * p.denominator != p.numerator * w:
+                return False
     return True
 
 

@@ -323,3 +323,56 @@ def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["check", "--frobnicate"])
     assert exc.value.code == 2
+
+
+# ------------------------------------------------- values with a leading "-"
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["connections", "--family", "bell", "--role", "fitting", "--n", "5", "--seed", "3"],
+         "--conn", "-1,1,1,1"),
+        (["check"], "--correlations", "-1/2,0,0,0"),
+        (["couple", "FAIR"], "--connections", "-1,0,1/2,-.25"),
+    ],
+)
+def test_number_lists_may_start_with_minus(capsys, fair_doc, argv, flag, value):
+    argv = [fair_doc if a == "FAIR" else a for a in argv]
+    joined = run(capsys, *argv, f"{flag}={value}")
+    assert joined[0] in (0, 1)
+    assert run(capsys, *argv, flag, value) == joined
+
+
+def test_negative_condition_probability_reaches_the_domain_check(capsys, fair_doc):
+    code, doc, err = run(capsys, "conditionalize", fair_doc, "--pi", "-1/4,1/2,1/2,1/4")
+    assert code == 2
+    assert doc is None
+    assert "strictly positive" in err
+
+
+def test_other_leading_minus_values_keep_the_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--correlations", "-x,0,0,0"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ one process
+
+
+def test_repeated_calls_share_no_parser_state(capsys):
+    code, doc, _ = run(capsys, "check", "--correlations", "0,0,0,0", "--family", "bell")
+    assert code == 0
+    assert set(doc["families"]) == {"bell"}
+    code, doc, _ = run(capsys, "check", "--correlations", "0,0,0,0")
+    assert code == 0
+    assert set(doc["families"]) == {"bell", "quantum", "tsirelson"}
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--family", "classical"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, doc, _ = run(capsys, "check", "--correlations", "1,1,1,-1")
+    assert code == 1
+    assert set(doc["families"]) == {"bell", "quantum", "tsirelson"}
+    assert doc["correlations"]["e22"] == "-1"

@@ -134,6 +134,21 @@ def test_missing_condition_is_detected(fair_scenario):
         cc.conditional_pair_distribution(CONTEXTS[3])
 
 
+def test_relevant_values_outside_plus_minus_one_fail_verification(fair_scenario):
+    # a zero-padded table with the patterns of conditions (1,1) and (2,2)
+    # swapped, declared as an even table: under those two conditions the
+    # relevant pair is (0, 0), which no scenario cell carries
+    swap = {(1, 1): (2, 2), (2, 2): (1, 1), (1, 2): (1, 2), (2, 1): (2, 1)}
+    zero = zero_padded_coupling(fair_scenario, uniform_pi())
+    cc = ConditionalCoupling(
+        "even", {(swap[ctx], pattern): v for (ctx, pattern), v in zero.table.items()}
+    )
+    assert not verify_conditionals(cc, fair_scenario)
+    cond = cc.conditional_pair_distribution((1, 1))
+    assert cond == {**{cell: 0 for cell in PM_CELLS}, (0, 0): 1}
+    assert verify_conditionals(zero, fair_scenario)
+
+
 # ------------------------------------------------------------- input checks
 
 
@@ -180,6 +195,15 @@ def test_conditional_coupling_validation():
         "simple", {((1, 1), (1, 1)): F(1), ((2, 2), (1, -1)): F(0)}
     )
     assert len(cc.table) == 1  # zero entries dropped
+    # ints and rational strings are coerced to Fractions; floats and bools refused
+    cc = ConditionalCoupling("simple", {((1, 1), (1, 1)): "1/2", ((2, 2), (1, -1)): 1 - F(1, 2)})
+    assert cc.table == {((1, 1), (1, 1)): F(1, 2), ((2, 2), (1, -1)): F(1, 2)}
+    assert type(ConditionalCoupling("simple", {((1, 1), (1, 1)): 1}).table[((1, 1), (1, 1))]) is F
+    for bad in (1.0, True):
+        with pytest.raises(DomainError):
+            ConditionalCoupling("simple", {((1, 1), (1, 1)): bad})
+    with pytest.raises(StructuralError):
+        ConditionalCoupling("simple", {((3, 1), (1, 1)): F(1)})
 
 
 # ------------------------------------------------------------------- report
