@@ -29,7 +29,6 @@ from .conditionalization import (
 )
 from .connections import (
     RATIONALIZE_MAX_DENOMINATOR,
-    exact_connection,
     rationalize,
     test_equivalent,
     test_fitting,
@@ -59,6 +58,7 @@ from .inequalities import (
     chsh_max,
     family_report,
 )
+from .lp import as_rational
 from .quantum import singlet_correlations, standard_chsh_settings
 
 SCHEMA_VERSION = "1"
@@ -78,29 +78,13 @@ class CliError(Exception):
 # ---------------------------------------------------------------- documents
 
 
-def _rat(s: Fraction) -> str:
-    # str(Fraction) is canonical: lowest terms, positive denominator, no
-    # "/1" suffix
-    return str(s)
-
-
-def _parse_exact(value, where: str) -> Fraction:
-    """A probability cell: rational string or int, never a float."""
-    if isinstance(value, bool):
-        raise CliError(f"{where}: booleans are not probabilities")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        raise CliError(
-            f"{where}: probabilities must be exact rational strings like '3/10', "
-            f"got the JSON number {value!r}"
-        )
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise CliError(f"{where}: cannot parse {value!r} as a rational") from None
-    raise CliError(f"{where}: expected a rational string, got {type(value).__name__}")
+def _tagged(where: str, fn, *args):
+    """fn(*args), with a library error turned into a CliError that names the
+    flag or document key the rejected input came from."""
+    try:
+        return fn(*args)
+    except SpincoupleError as exc:
+        raise CliError(f"{where}: {exc}") from None
 
 
 def parse_scenario_document(doc) -> tuple[Scenario, dict]:
@@ -119,15 +103,11 @@ def parse_scenario_document(doc) -> tuple[Scenario, dict]:
         cell_doc = pairs_doc.get(key)
         if not isinstance(cell_doc, dict):
             raise CliError(f'context "{key}" must be an object with cells {_CELL_KEYS}')
-        cells = []
         for cell in _CELL_KEYS:
             if cell not in cell_doc:
                 raise CliError(f'context "{key}" is missing cell "{cell}"')
-            cells.append(_parse_exact(cell_doc[cell], f'pairs.{key}.{cell}'))
-        try:
-            pairs[ctx] = PairDistribution(*cells)
-        except SpincoupleError as exc:
-            raise CliError(f'context "{key}": {exc}') from None
+        cells = (cell_doc[cell] for cell in _CELL_KEYS)
+        pairs[ctx] = _tagged(f'context "{key}"', PairDistribution, *cells)
     metadata = doc.get("metadata")
     if metadata is not None and not isinstance(metadata, dict):
         raise CliError('"metadata" must be an object when present')
@@ -138,7 +118,7 @@ def scenario_document(s: Scenario, metadata: dict | None = None) -> dict:
     doc = {
         "pairs": {
             key: {
-                cell: _rat(v)
+                cell: str(v)
                 for cell, v in zip(_CELL_KEYS, s.pairs[ctx].cells())
             }
             for key, ctx in zip(_CTX_KEYS, CONTEXTS)
@@ -204,13 +184,17 @@ def _parse_number_token(tok: str, where: str) -> tuple[Fraction, float | None]:
     return rationalize(f, RATIONALIZE_MAX_DENOMINATOR), f
 
 
-def _parse_four(text: str, where: str) -> tuple[list[Fraction], dict]:
+def _split_four(text: str, where: str) -> list[str]:
     toks = text.split(",")
     if len(toks) != 4:
         raise CliError(f"{where}: expected four comma-separated components, got {len(toks)}")
+    return toks
+
+
+def _parse_four(text: str, where: str) -> tuple[list[Fraction], dict]:
     values = []
     originals = {}
-    for k, tok in enumerate(toks):
+    for k, tok in enumerate(_split_four(text, where)):
         v, orig = _parse_number_token(tok, f"{where}[{k}]")
         if v < -1 or v > 1:
             raise CliError(f"{where}[{k}]: {v} is outside [-1, 1]")
@@ -224,31 +208,27 @@ def _parse_four(text: str, where: str) -> tuple[list[Fraction], dict]:
     return values, meta
 
 
-def _emit(doc: dict, summary: str | None = None) -> None:
-    if summary:
-        print(summary, file=sys.stderr)
-    print(json.dumps(doc, indent=2, sort_keys=True))
-
-
 def _family_doc(rep) -> dict:
     return {
         "satisfied": rep.satisfied,
-        "max_lhs": _rat(rep.max_lhs) if isinstance(rep.max_lhs, Fraction) else rep.max_lhs,
-        "bound": _rat(rep.bound) if isinstance(rep.bound, Fraction) else rep.bound,
+        "max_lhs": str(rep.max_lhs) if isinstance(rep.max_lhs, Fraction) else rep.max_lhs,
+        "bound": str(rep.bound) if isinstance(rep.bound, Fraction) else rep.bound,
         "tight": rep.tight,
     }
 
 
 # ---------------------------------------------------------------- commands
+#
+# Each command returns (body, summary, verdict); main wraps the body in the
+# document envelope, prints both and maps the verdict to the exit code.
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[dict, str, bool]:
     if args.correlations is not None:
         if args.input != "-":
             raise CliError("give either a scenario document or --correlations, not both")
-        comps, meta = _parse_four(args.correlations, "--correlations")
+        comps, metadata = _parse_four(args.correlations, "--correlations")
         scenario = scenario_from_correlations(comps)
-        metadata = meta
     else:
         scenario, metadata = _load_scenario(args.input)
     families = args.family or list(FAMILIES)
@@ -256,12 +236,10 @@ def cmd_check(args) -> int:
     nosig = check_no_signaling(scenario)
     reports = {fam: family_report(fam, cors, args.tolerance) for fam in families}
     all_ok = all(rep.satisfied for rep in reports.values())
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "check",
+    body = {
         "scenario": scenario_document(scenario, metadata),
         "correlations": {
-            name: _rat(v) if isinstance(v, Fraction) else v
+            name: str(v) if isinstance(v, Fraction) else v
             for name, v in zip(("e11", "e12", "e21", "e22"), cors.components())
         },
         "no_signaling": {"holds": nosig.holds, "violations": list(nosig.violations)},
@@ -271,72 +249,57 @@ def cmd_check(args) -> int:
     verdicts = ", ".join(
         f"{fam}={'ok' if rep.satisfied else 'violated'}" for fam, rep in sorted(reports.items())
     )
-    _emit(doc, f"no-signaling={'ok' if nosig.holds else 'violated'}; {verdicts}")
-    return EXIT_OK if all_ok else EXIT_NEGATIVE
+    return body, f"no-signaling={'ok' if nosig.holds else 'violated'}; {verdicts}", all_ok
 
 
 def _witness_doc(verdict) -> dict | None:
     if verdict.witness is None:
         return None
-    return {pattern_key(p): _rat(m) for p, m in sorted(verdict.witness.mass.items())}
+    return {pattern_key(p): str(m) for p, m in sorted(verdict.witness.mass.items())}
 
 
-def cmd_couple(args) -> int:
+def cmd_couple(args) -> tuple[dict, str, bool]:
     modes = [m for m in ("identity", "connections", "range") if getattr(args, m) not in (None, False)]
     if len(modes) > 1:
         raise CliError("at most one of --identity, --connections, --range")
     scenario, metadata = _load_scenario(args.input)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "couple",
-        "scenario": scenario_document(scenario, metadata),
-    }
+    body = {"scenario": scenario_document(scenario, metadata)}
 
     if args.range is not None:
-        which = args.range
-        if which not in CONNECTION_NAMES:
-            raise CliError(f"--range takes one of {CONNECTION_NAMES}, got {which!r}")
-        lo, hi = connection_range(scenario, which)
-        doc["mode"] = "range"
-        doc["range"] = {"connection": which, "lo": _rat(lo), "hi": _rat(hi)}
-        _emit(doc, f"connection {which} expectation range: [{lo}, {hi}]")
-        return EXIT_OK
+        lo, hi = _tagged("--range", connection_range, scenario, args.range)
+        body["mode"] = "range"
+        body["range"] = {"connection": args.range, "lo": str(lo), "hi": str(hi)}
+        return body, f"connection {args.range} expectation range: [{lo}, {hi}]", True
 
     if args.identity:
-        doc["mode"] = "identity"
+        body["mode"] = "identity"
         verdict = identity_coupling_exists(scenario)
     elif args.connections is not None:
         targets, meta = _parse_four(args.connections, "--connections")
-        conn = ConnectionVector(*targets)
-        doc["mode"] = "connections"
-        doc["connections"] = {
-            name: _rat(v) for name, v in zip(CONNECTION_NAMES, conn.rational_components())
-        }
+        body["mode"] = "connections"
+        body["connections"] = {name: str(v) for name, v in zip(CONNECTION_NAMES, targets)}
         if meta:
-            doc["metadata"] = meta
-        verdict = coupling_exists(scenario, conn)
+            body["metadata"] = meta
+        verdict = coupling_exists(scenario, ConnectionVector(*targets))
     else:
         # no mode flag: plain existence under the marginal constraints only
-        doc["mode"] = "existence"
+        body["mode"] = "existence"
         verdict = coupling_exists(scenario)
 
-    doc["feasible"] = verdict.feasible
-    doc["witness"] = _witness_doc(verdict)
-    _emit(doc, f"coupling {'exists' if verdict.feasible else 'does not exist'} (mode {doc['mode']})")
-    return EXIT_OK if verdict.feasible else EXIT_NEGATIVE
+    body["feasible"] = verdict.feasible
+    body["witness"] = _witness_doc(verdict)
+    summary = f"coupling {'exists' if verdict.feasible else 'does not exist'} (mode {body['mode']})"
+    return body, summary, verdict.feasible
 
 
-def cmd_connections(args) -> int:
+def cmd_connections(args) -> tuple[dict, str, bool]:
     targets, meta = _parse_four(args.conn, "--conn")
-    conn = exact_connection(ConnectionVector(*targets))
     runner = {"fitting": test_fitting, "forcing": test_forcing, "equivalent": test_equivalent}[
         args.role
     ]
-    result = runner(conn, args.family, args.seed, args.n)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "connections",
-        "conn": {name: _rat(v) for name, v in zip(CONNECTION_NAMES, conn.rational_components())},
+    result = runner(ConnectionVector(*targets), args.family, args.seed, args.n)
+    body = {
+        "conn": {name: str(v) for name, v in zip(CONNECTION_NAMES, targets)},
         "family": result.family,
         "role": result.role,
         "n": args.n,
@@ -346,54 +309,44 @@ def cmd_connections(args) -> int:
         "counterexample": None,
     }
     if meta:
-        doc["metadata"] = meta
+        body["metadata"] = meta
     if result.counterexample is not None:
         s, detail = result.counterexample
-        doc["counterexample"] = {"scenario": scenario_document(s), "detail": detail}
-    _emit(
-        doc,
+        body["counterexample"] = {"scenario": scenario_document(s), "detail": detail}
+    summary = (
         f"{args.role} for {args.family}: {result.verdict} "
-        f"({result.samples_checked} samples checked)",
+        f"({result.samples_checked} samples checked)"
     )
-    return EXIT_OK if result.verdict else EXIT_NEGATIVE
+    return body, summary, result.verdict
 
 
-def cmd_conditionalize(args) -> int:
+def cmd_conditionalize(args) -> tuple[dict, str, bool]:
     scenario, metadata = _load_scenario(args.input)
-    toks = args.pi.split(",")
-    if len(toks) != 4:
-        raise CliError(f"--pi: expected four comma-separated components, got {len(toks)}")
-    try:
-        values = [Fraction(t.strip()) for t in toks]
-    except (ValueError, ZeroDivisionError):
-        raise CliError(f"--pi: cannot parse {args.pi!r}; components must be rationals") from None
-    pi = ConditionDistribution({ctx: v for ctx, v in zip(CONTEXTS, values)})
+    toks = _split_four(args.pi, "--pi")
+    pi = _tagged("--pi", ConditionDistribution, {c: t.strip() for c, t in zip(CONTEXTS, toks)})
     cc = build_conditional(args.kind, scenario, pi)
     ok = verify_conditionals(cc, scenario)
     table = {key: {} for key in _CTX_KEYS}
     for (ctx, pattern), v in sorted(cc.table.items()):
-        table[f"{ctx[0]}{ctx[1]}"][pattern_key(pattern)] = _rat(v)
+        table[f"{ctx[0]}{ctx[1]}"][pattern_key(pattern)] = str(v)
     marginal = cc.condition_marginal()
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "conditionalize",
+    body = {
         "scenario": scenario_document(scenario, metadata),
         "kind": args.kind,
-        "pi": {key: _rat(pi.pi[ctx]) for key, ctx in zip(_CTX_KEYS, CONTEXTS)},
+        "pi": {key: str(pi.pi[ctx]) for key, ctx in zip(_CTX_KEYS, CONTEXTS)},
         "table": table,
         "condition_marginal": {
-            key: _rat(marginal[ctx]) for key, ctx in zip(_CTX_KEYS, CONTEXTS)
+            key: str(marginal[ctx]) for key, ctx in zip(_CTX_KEYS, CONTEXTS)
         },
         "conditionals_verified": ok,
     }
     cells = sum(len(v) for v in table.values())
-    _emit(doc, f"{args.kind} construction: {cells} nonzero cells, verified={ok}")
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    return body, f"{args.kind} construction: {cells} nonzero cells, verified={ok}", ok
 
 
-def _demo_fine(args) -> tuple[dict, str, int]:
-    result = fine_agreement_campaign(args.n, args.seed)
-    doc = {
+def _demo_fine(args) -> tuple[dict, str, bool]:
+    result = fine_agreement_campaign(1000 if args.n is None else args.n, args.seed)
+    body = {
         "name": "fine",
         "n": result.n,
         "seed": args.seed,
@@ -404,10 +357,10 @@ def _demo_fine(args) -> tuple[dict, str, int]:
         f"identity-coupling existence vs classical bound: "
         f"{result.agreements}/{result.n} agreements"
     )
-    return doc, summary, EXIT_OK if result.all_agree else EXIT_NEGATIVE
+    return body, summary, result.all_agree
 
 
-def _demo_tsirelson(args) -> tuple[dict, str, int]:
+def _demo_tsirelson(args) -> tuple[dict, str, bool]:
     cors = singlet_correlations(*standard_chsh_settings())
     m = float(chsh_max(cors))
     a = arcsin_sum_max(cors)
@@ -417,7 +370,7 @@ def _demo_tsirelson(args) -> tuple[dict, str, int]:
         and abs(a - math.pi) <= args.tolerance
         and not bell.satisfied
     )
-    doc = {
+    body = {
         "name": "tsirelson-tight",
         "correlations": {
             k: v for k, v in zip(("e11", "e12", "e21", "e22"), map(float, cors.components()))
@@ -435,12 +388,12 @@ def _demo_tsirelson(args) -> tuple[dict, str, int]:
         f"standard settings: CHSH max {m:.15f} (bound {TSIRELSON_BOUND:.15f}), "
         f"arcsin max {a:.15f} (bound {math.pi:.15f}), bell violated={not bell.satisfied}"
     )
-    return doc, summary, EXIT_OK if ok else EXIT_NEGATIVE
+    return body, summary, ok
 
 
-def _demo_uninformative(args) -> tuple[dict, str, int]:
-    result = uninformativeness_campaign(args.n, args.seed)
-    doc = {
+def _demo_uninformative(args) -> tuple[dict, str, bool]:
+    result = uninformativeness_campaign(500 if args.n is None else args.n, args.seed)
+    body = {
         "name": "uninformative",
         "pairs": result.pairs,
         "seed": args.seed,
@@ -456,43 +409,54 @@ def _demo_uninformative(args) -> tuple[dict, str, int]:
         f"{result.successes}/{result.constructions} across strata "
         + ", ".join(f"{k}={s}/{t}" for k, (s, t) in sorted(result.per_stratum.items()))
     )
-    return doc, summary, EXIT_OK if result.all_ok else EXIT_NEGATIVE
+    return body, summary, result.all_ok
 
 
-def _demo_tree(args) -> tuple[dict, str, int]:
-    p = _parse_exact(args.p, "--p")
-    q = _parse_exact(args.q, "--q")
-    pi_root = _parse_exact(args.pi_root, "--pi-root")
+def _demo_tree(args) -> tuple[dict, str, bool]:
+    p = _tagged("--p", as_rational, args.p)
+    q = _tagged("--q", as_rational, args.q)
+    pi_root = _tagged("--pi-root", as_rational, args.pi_root)
     table = two_condition_tree(p, q, pi_root)
-    doc = {
+    body = {
         "name": "tree",
-        "p": _rat(p),
-        "q": _rat(q),
-        "pi_root": _rat(pi_root),
+        "p": str(p),
+        "q": str(q),
+        "pi_root": str(pi_root),
         "table": {
-            f"condition={c},outcome={'+' if o > 0 else '-'}": _rat(v)
+            f"condition={c},outcome={'+' if o > 0 else '-'}": str(v)
             for (c, o), v in sorted(table.items())
         },
     }
-    branches = ", ".join(f"{k}: {v}" for k, v in doc["table"].items())
-    return doc, f"two-condition tree joint table: {branches}", EXIT_OK
+    branches = ", ".join(f"{k}: {v}" for k, v in body["table"].items())
+    return body, f"two-condition tree joint table: {branches}", True
 
 
-def cmd_demo(args) -> int:
-    runners = {
-        "fine": _demo_fine,
-        "tsirelson-tight": _demo_tsirelson,
-        "uninformative": _demo_uninformative,
-        "tree": _demo_tree,
-    }
-    body, summary, code = runners[args.name](args)
-    doc = {"schema_version": SCHEMA_VERSION, "command": "demo"}
-    doc.update(body)
-    _emit(doc, summary)
-    return code
+_DEMOS = {
+    "fine": _demo_fine,
+    "tsirelson-tight": _demo_tsirelson,
+    "uninformative": _demo_uninformative,
+    "tree": _demo_tree,
+}
+
+
+def cmd_demo(args) -> tuple[dict, str, bool]:
+    return _DEMOS[args.name](args)
 
 
 # ------------------------------------------------------------------ parser
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of --tolerance: a finite float >= 0.  A NaN tolerance
+    fails every comparison and an infinite one passes every one, so the
+    verdicts would say nothing."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:  # NaN fails every comparison
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -505,6 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    tolerance_help = f"float comparison slack, finite and >= 0 (default {DEFAULT_EPSILON})"
 
     p_check = sub.add_parser(
         "check", help="classify a scenario against the three inequality families"
@@ -521,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(FAMILIES),
         help="restrict the verdict to these families (repeatable; default all)",
     )
-    p_check.add_argument("--tolerance", type=float, default=DEFAULT_EPSILON)
+    p_check.add_argument("--tolerance", type=_tolerance, default=DEFAULT_EPSILON, help=tolerance_help)
     p_check.set_defaults(func=cmd_check)
 
     p_couple = sub.add_parser(
@@ -566,12 +531,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cond.set_defaults(func=cmd_conditionalize)
 
     p_demo = sub.add_parser("demo", help="curated walkthroughs of the headline results")
+    p_demo.add_argument("name", choices=list(_DEMOS))
     p_demo.add_argument(
-        "name", choices=["fine", "tsirelson-tight", "uninformative", "tree"]
+        "--n", type=int, default=None, help="campaign size (default fine 1000, uninformative 500)"
     )
-    p_demo.add_argument("--n", type=int, default=None, help="campaign size override")
     p_demo.add_argument("--seed", type=int, default=0)
-    p_demo.add_argument("--tolerance", type=float, default=DEFAULT_EPSILON)
+    p_demo.add_argument("--tolerance", type=_tolerance, default=DEFAULT_EPSILON, help=tolerance_help)
     p_demo.add_argument("--p", default="1/2", help="tree: first branch success probability")
     p_demo.add_argument("--q", default="1/2", help="tree: second branch success probability")
     p_demo.add_argument("--pi-root", default="3/10", help="tree: probability of the first condition")
@@ -582,8 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 # main builds the parser once per process; parsing does not change it
 _shared_parser = functools.cache(build_parser)
-
-_DEMO_DEFAULT_N = {"fine": 1000, "uninformative": 500}
 
 # flags whose value is a comma-separated number list, which may start with "-"
 _NUMBER_LIST_FLAGS = ("--conn", "--connections", "--correlations", "--pi")
@@ -607,8 +570,6 @@ def _join_negative_values(argv) -> list[str]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _shared_parser().parse_args(_join_negative_values(argv))
-    if args.subcommand == "demo" and args.n is None:
-        args.n = _DEMO_DEFAULT_N.get(args.name, 0)
     n = getattr(args, "n", None)
     if n is not None and n < 0:
         print("error: --n must be nonnegative", file=sys.stderr)
@@ -618,12 +579,16 @@ def main(argv=None) -> int:
         print("error: --seed must fit in an unsigned 64-bit integer", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        body, summary, verdict = args.func(args)
+        doc = {"schema_version": SCHEMA_VERSION, "command": args.subcommand, **body}
+        print(summary, file=sys.stderr)
+        print(json.dumps(doc, indent=2, sort_keys=True))
     except (CliError, SpincoupleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:
         return EXIT_USAGE
+    return EXIT_OK if verdict else EXIT_NEGATIVE
 
 
 if __name__ == "__main__":

@@ -52,7 +52,8 @@ class ConditionDistribution:
 
     A zero-probability condition is rejected outright: its conditional
     distribution would be undefined, and the construction is meant to work
-    by conditioning on every context.
+    by conditioning on every context.  A key outside the four contexts is
+    refused rather than dropped.
     """
 
     pi: Mapping[Context, Fraction]
@@ -61,6 +62,9 @@ class ConditionDistribution:
         missing = [c for c in CONTEXTS if c not in self.pi]
         if missing:
             raise StructuralError(f"condition distribution missing contexts {missing}")
+        extra = [c for c in self.pi if c not in CONTEXTS]
+        if extra:
+            raise StructuralError(f"condition distribution has unknown contexts {extra}")
         clean = {}
         for ctx in CONTEXTS:
             v = as_rational(self.pi[ctx])
@@ -79,15 +83,24 @@ class ConditionDistribution:
 @dataclass(frozen=True)
 class PartitionWeights:
     """Per-context weights t_ij(a, b) for the irrelevant pair: nonnegative,
-    each context's four cells summing to 1."""
+    each context's four cells summing to 1.  Omitted cells weigh 0; a
+    context or cell outside the four contexts or {+1, -1}^2 is refused."""
 
     t: Mapping[Context, Mapping[tuple[int, int], Fraction]]
 
     def __post_init__(self) -> None:
+        extra = [c for c in self.t if c not in CONTEXTS]
+        if extra:
+            raise StructuralError(f"partition weights have unknown contexts {extra}")
         clean = {}
         for ctx in CONTEXTS:
             if ctx not in self.t:
                 raise StructuralError(f"partition weights missing context {ctx}")
+            bad = [cell for cell in self.t[ctx] if cell not in _CELLS]
+            if bad:
+                raise StructuralError(
+                    f"partition weights for context {ctx} have unknown cells {bad}"
+                )
             row = {}
             total = Fraction(0)
             for cell in _CELLS:
@@ -147,6 +160,8 @@ class ConditionalCoupling:
 
     def conditional_pair_distribution(self, ctx: Context) -> dict[tuple[int, int], Fraction]:
         """Distribution of the relevant pair (A'_i, B'_j) given C = ctx."""
+        if ctx not in CONTEXTS:
+            raise StructuralError(f"unknown context {ctx!r}")
         weight, sums = _pair_sums(
             self.kind, {key: v for key, v in self.table.items() if key[0] == ctx}
         )

@@ -94,7 +94,10 @@ def rationalize(x, max_denominator: int) -> Fraction:
     """
     if max_denominator < 1:
         raise DomainError(f"max_denominator must be >= 1, got {max_denominator}")
-    f = Fraction(x) if not isinstance(x, Fraction) else x
+    try:
+        f = Fraction(x)
+    except (ValueError, OverflowError):  # NaN, infinities, unparsable text
+        raise DomainError(f"rationalize expects a finite number, got {x!r}") from None
     if f < -1 or f > 1:
         raise DomainError(f"rationalize expects |x| <= 1, got {x!r}")
     return f.limit_denominator(max_denominator)

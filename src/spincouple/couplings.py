@@ -97,8 +97,9 @@ class ConnectionVector:
     def rational_components(self) -> tuple[Fraction, ...]:
         """The four targets as exact rationals; floats are refused.
 
-        The LP engine stays exact, so irrational (float-valued) targets must
-        be rationalized by the caller first (connections.rationalize).
+        Coupling questions are decided exactly on the fan, so irrational
+        (float-valued) targets must be rationalized by the caller first
+        (connections.rationalize).
         """
         out = []
         for name, v in zip(("cA1", "cA2", "cB1", "cB2"), self.components()):

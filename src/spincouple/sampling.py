@@ -8,10 +8,11 @@ how many earlier slots were drawn.
 Correlation components are drawn uniformly from the grid k/1000,
 k in [-1000, 1000]: exact rationals with small denominators keep the
 integers of the exact coupling decision small, and the grid is dense
-enough that every family stratum has ample probability.  Family membership is enforced with a margin of 1e-4 from the
-boundary, which absorbs the worst-case perturbation from rationalizing
-irrational connection targets at denominator <= 10^6 (connection tests
-feed those rationalized targets to that exact decision).
+enough that every family stratum has ample probability.  Family
+membership is enforced with a margin of 1e-4 from the boundary, which
+absorbs the worst-case perturbation from rationalizing irrational
+connection targets at denominator <= 10^6 (connection tests feed those
+rationalized targets to that exact decision).
 
 Membership is decided on the integer numerators k, not on Fractions: bell
 and tsirelson compare M = max |±k11 ± k12 ± k21 ± k22| (one minus sign)

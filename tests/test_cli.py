@@ -161,12 +161,57 @@ def test_couple_range_golden(capsys, fair_doc):
     assert doc["range"] == {"connection": "A1", "lo": "-1", "hi": "1"}
 
 
+def test_couple_range_stdout_bytes(capsys, fair_doc):
+    assert main(["couple", fair_doc, "--range", "A1"]) == 0
+    assert capsys.readouterr().out == """\
+{
+  "command": "couple",
+  "mode": "range",
+  "range": {
+    "connection": "A1",
+    "hi": "1",
+    "lo": "-1"
+  },
+  "scenario": {
+    "pairs": {
+      "11": {
+        "mm": "1/4",
+        "mp": "1/4",
+        "pm": "1/4",
+        "pp": "1/4"
+      },
+      "12": {
+        "mm": "1/4",
+        "mp": "1/4",
+        "pm": "1/4",
+        "pp": "1/4"
+      },
+      "21": {
+        "mm": "1/4",
+        "mp": "1/4",
+        "pm": "1/4",
+        "pp": "1/4"
+      },
+      "22": {
+        "mm": "1/4",
+        "mp": "1/4",
+        "pm": "1/4",
+        "pp": "1/4"
+      }
+    }
+  },
+  "schema_version": "1"
+}
+"""
+
+
 def test_couple_rejects_mode_combinations(capsys, fair_doc):
     code, _, err = run(capsys, "couple", fair_doc, "--identity", "--range", "A1")
     assert code == 2
     assert "at most one" in err
     code, _, err = run(capsys, "couple", fair_doc, "--range", "C9")
     assert code == 2
+    assert "--range" in err and "'C9'" in err
 
 
 def test_couple_refuses_symbolic_targets(capsys, fair_doc):
@@ -249,6 +294,9 @@ def test_conditionalize_rejects_zero_probability_condition(capsys, fair_doc):
     assert code == 2
     assert doc is None
     assert "positive" in err
+    code, _, err = run(capsys, "conditionalize", fair_doc, "--pi", "x,1/2,1/4,1/4")
+    assert code == 2
+    assert "--pi" in err and "'x'" in err
 
 
 # ----------------------------------------------------------------------- demo
@@ -301,7 +349,47 @@ def test_demo_rejects_unknown_name():
     assert exc.value.code == 2
 
 
+# ------------------------------------------------------------------- envelope
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "FAIR"],
+        ["couple", "FAIR"],
+        ["connections", "--conn", "1,1,1,1", "--family", "bell", "--role", "fitting", "--n", "3"],
+        ["conditionalize", "FAIR"],
+        ["demo", "fine", "--n", "5"],
+        ["demo", "tsirelson-tight"],
+        ["demo", "uninformative", "--n", "2"],
+        ["demo", "tree"],
+    ],
+)
+def test_every_document_carries_the_envelope(capsys, fair_doc, argv):
+    code, doc, _ = run(capsys, *[fair_doc if a == "FAIR" else a for a in argv])
+    assert code == 0
+    assert doc["schema_version"] == "1"
+    assert doc["command"] == argv[0]
+
+
 # --------------------------------------------------------------------- errors
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "abc"])
+@pytest.mark.parametrize(
+    "argv", [["check", "--correlations", "0,0,0,0"], ["demo", "tsirelson-tight"]]
+)
+def test_tolerance_must_be_finite_and_nonnegative(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"--tolerance={value}"])
+    assert exc.value.code == 2
+    assert "--tolerance" in capsys.readouterr().err
+
+
+def test_tolerance_accepts_zero(capsys):
+    code, doc, _ = run(capsys, "check", "--correlations", "1/2,0,0,0", "--tolerance", "0")
+    assert code == 0
+    assert doc["all_satisfied"] is True
 
 
 def test_malformed_json_reports_usage_error(capsys, tmp_path):

@@ -159,6 +159,8 @@ def test_condition_distribution_validation():
         ConditionDistribution({ctx: F(1, 3) for ctx in CONTEXTS})
     with pytest.raises(StructuralError):
         ConditionDistribution({(1, 1): F(1)})
+    with pytest.raises(StructuralError):  # refused, not dropped
+        ConditionDistribution({**{ctx: F(1, 4) for ctx in CONTEXTS}, (3, 3): F(5)})
     pi = ConditionDistribution({ctx: "1/4" for ctx in CONTEXTS})
     assert pi.pi[(1, 1)] == F(1, 4)
 
@@ -176,6 +178,12 @@ def test_partition_weights_validation():
     }
     with pytest.raises(DomainError):
         PartitionWeights(negative)
+    # unknown contexts and cells are refused, not dropped
+    uniform = {ctx: {cell: F(1, 4) for cell in PM_CELLS} for ctx in CONTEXTS}
+    with pytest.raises(StructuralError):
+        PartitionWeights({**uniform, (3, 3): uniform[(1, 1)]})
+    with pytest.raises(StructuralError):
+        PartitionWeights({**uniform, (1, 1): {**uniform[(1, 1)], (7, 7): F(1, 2)}})
     # omitted cells default to zero
     half = {ctx: {(1, 1): F(1, 2), (-1, -1): F(1, 2)} for ctx in CONTEXTS}
     t = PartitionWeights(half)
@@ -195,6 +203,8 @@ def test_conditional_coupling_validation():
         "simple", {((1, 1), (1, 1)): F(1), ((2, 2), (1, -1)): F(0)}
     )
     assert len(cc.table) == 1  # zero entries dropped
+    with pytest.raises(StructuralError):
+        cc.conditional_pair_distribution((3, 3))
     # ints and rational strings are coerced to Fractions; floats and bools refused
     cc = ConditionalCoupling("simple", {((1, 1), (1, 1)): "1/2", ((2, 2), (1, -1)): 1 - F(1, 2)})
     assert cc.table == {((1, 1), (1, 1)): F(1, 2), ((2, 2), (1, -1)): F(1, 2)}

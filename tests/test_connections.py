@@ -61,6 +61,9 @@ def test_rationalize():
         rationalize(1.5, 10**6)
     with pytest.raises(DomainError):
         rationalize(0.5, 0)
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            rationalize(x, 10)
 
 
 def test_exact_connection_rationalizes_only_floats():
