@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 from .conditionalization import KINDS, build_conditional, verify_conditionals
 from .couplings import identity_coupling_exists
+from .errors import DomainError
 from .inequalities import bell_ch_fine
 from .sampling import (
     STRATA,
@@ -30,6 +31,8 @@ def fine_agreement_campaign(n: int, seed: int) -> FineCampaignResult:
     """For n seeded uniform-marginal scenarios (boundary cases included),
     compare identity-coupling existence with the exact classical-bound
     verdict; the two must coincide scenario by scenario."""
+    if n < 0:
+        raise DomainError(f"campaign size must be >= 0, got {n}")
     mismatches = []
     for k in range(n):
         s = sample_uniform_marginal_scenario(seed, k)
@@ -56,6 +59,8 @@ def uninformativeness_campaign(pairs: int, seed: int) -> UninformativenessCampai
     """pairs seeded (scenario, condition-distribution) draws, cycled across
     the four strata, each put through all three constructions and verified
     exactly."""
+    if pairs < 0:
+        raise DomainError(f"campaign size must be >= 0, got {pairs}")
     per_stratum = {name: [0, 0] for name in STRATA}
     successes = 0
     total = 0

@@ -53,9 +53,6 @@ from .errors import SpincoupleError
 from .inequalities import (
     DEFAULT_EPSILON,
     FAMILIES,
-    TSIRELSON_BOUND,
-    arcsin_sum_max,
-    chsh_max,
     family_report,
 )
 from .lp import as_rational
@@ -362,33 +359,30 @@ def _demo_fine(args) -> tuple[dict, str, bool]:
 
 def _demo_tsirelson(args) -> tuple[dict, str, bool]:
     cors = singlet_correlations(*standard_chsh_settings())
-    m = float(chsh_max(cors))
-    a = arcsin_sum_max(cors)
-    bell = family_report("bell", cors)
-    ok = (
-        abs(m - TSIRELSON_BOUND) <= args.tolerance
-        and abs(a - math.pi) <= args.tolerance
-        and not bell.satisfied
+    bell, quantum, tsirelson = (
+        family_report(fam, cors, args.tolerance) for fam in ("bell", "quantum", "tsirelson")
     )
+    m = float(tsirelson.max_lhs)
+    a = quantum.max_lhs
     body = {
         "name": "tsirelson-tight",
         "correlations": {
             k: v for k, v in zip(("e11", "e12", "e21", "e22"), map(float, cors.components()))
         },
         "chsh_max": m,
-        "chsh_bound": TSIRELSON_BOUND,
-        "chsh_delta": abs(m - TSIRELSON_BOUND),
+        "chsh_bound": tsirelson.bound,
+        "chsh_delta": abs(m - tsirelson.bound),
         "arcsin_max": a,
-        "arcsin_bound": math.pi,
-        "arcsin_delta": abs(a - math.pi),
+        "arcsin_bound": quantum.bound,
+        "arcsin_delta": abs(a - quantum.bound),
         "bell_satisfied": bell.satisfied,
         "tolerance": args.tolerance,
     }
     summary = (
-        f"standard settings: CHSH max {m:.15f} (bound {TSIRELSON_BOUND:.15f}), "
-        f"arcsin max {a:.15f} (bound {math.pi:.15f}), bell violated={not bell.satisfied}"
+        f"standard settings: CHSH max {m:.15f} (bound {tsirelson.bound:.15f}), "
+        f"arcsin max {a:.15f} (bound {quantum.bound:.15f}), bell violated={not bell.satisfied}"
     )
-    return body, summary, ok
+    return body, summary, tsirelson.tight and quantum.tight and not bell.satisfied
 
 
 def _demo_uninformative(args) -> tuple[dict, str, bool]:
@@ -516,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_conn.add_argument("--n", type=int, default=100, help="samples per quantifier (default 100)")
     p_conn.add_argument("--seed", type=int, default=0)
-    p_conn.set_defaults(func=cmd_connections)
+    p_conn.set_defaults(func=cmd_connections, n_min=1)
 
     p_cond = sub.add_parser(
         "conditionalize", help="build a conditionalization coupling and verify it"
@@ -540,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--p", default="1/2", help="tree: first branch success probability")
     p_demo.add_argument("--q", default="1/2", help="tree: second branch success probability")
     p_demo.add_argument("--pi-root", default="3/10", help="tree: probability of the first condition")
-    p_demo.set_defaults(func=cmd_demo)
+    p_demo.set_defaults(func=cmd_demo, n_min=0)
 
     return parser
 
@@ -571,8 +565,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _shared_parser().parse_args(_join_negative_values(argv))
     n = getattr(args, "n", None)
-    if n is not None and n < 0:
-        print("error: --n must be nonnegative", file=sys.stderr)
+    if n is not None and n < args.n_min:
+        print(f"error: --n must be >= {args.n_min}, got {n}", file=sys.stderr)
         return EXIT_USAGE
     seed = getattr(args, "seed", None)
     if seed is not None and not (0 <= seed < 2**64):

@@ -92,11 +92,13 @@ def rationalize(x, max_denominator: int) -> Fraction:
     Continued-fraction convergents via Fraction.limit_denominator, which
     returns the closest such fraction.
     """
-    if max_denominator < 1:
-        raise DomainError(f"max_denominator must be >= 1, got {max_denominator}")
+    if type(max_denominator) is not int or max_denominator < 1:  # bools refused too
+        raise DomainError(f"max_denominator must be an int >= 1, got {max_denominator!r}")
+    if isinstance(x, bool):
+        raise DomainError(f"rationalize expects a number, got {x!r}")
     try:
         f = Fraction(x)
-    except (ValueError, OverflowError):  # NaN, infinities, unparsable text
+    except (ValueError, OverflowError, TypeError):  # NaN, infinities, non-numbers
         raise DomainError(f"rationalize expects a finite number, got {x!r}") from None
     if f < -1 or f > 1:
         raise DomainError(f"rationalize expects |x| <= 1, got {x!r}")

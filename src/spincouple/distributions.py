@@ -37,7 +37,10 @@ class PairDistribution:
 
     def __post_init__(self) -> None:
         for name in ("p_pp", "p_pm", "p_mp", "p_mm"):
-            v = as_rational(getattr(self, name))
+            try:
+                v = as_rational(getattr(self, name))
+            except DomainError as exc:
+                raise DomainError(f"{name}: {exc}") from None
             if v < 0:
                 raise DomainError(f"{name} = {v} is negative")
             object.__setattr__(self, name, v)

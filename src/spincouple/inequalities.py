@@ -28,14 +28,6 @@ FAMILIES = (FAMILY_BELL, FAMILY_QUANTUM, FAMILY_TSIRELSON)
 
 DEFAULT_EPSILON = 1e-9
 
-# one minus sign, rotating over the four positions
-_SIGN_PATTERNS = (
-    (1, 1, 1, -1),
-    (1, 1, -1, 1),
-    (1, -1, 1, 1),
-    (-1, 1, 1, 1),
-)
-
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
 
@@ -54,28 +46,38 @@ def _as_vector(c) -> CorrelationVector:
     return CorrelationVector(*c)
 
 
+def sign_sum_max(v):
+    """max |v1 ± v2 ± v3 ± v4| over the sums with exactly one minus sign.
+
+    Negating v_i leaves S - 2*v_i (S the plain sum), which is monotone in
+    v_i, so the largest |S - 2*v_i| sits at the smallest or the largest
+    component.  Exact on ints and Fractions.
+    """
+    s = sum(v)
+    return max(s - 2 * min(v), 2 * max(v) - s)
+
+
+def float_sign_sum_max(a: float, b: float, c: float, d: float) -> float:
+    """sign_sum_max on floats, each sum formed left to right as written, so
+    every caller rounds alike."""
+    return max(
+        abs(a + b + c - d), abs(a + b - c + d), abs(a - b + c + d), abs(-a + b + c + d)
+    )
+
+
 def chsh_max(c) -> Fraction:
     """Exact max over the four sign patterns of |sum of signed e_ij|.
 
     Floats are converted exactly (every float is a rational), so the
     comparison against the bound 2 never involves rounding.
     """
-    e = [Fraction(v) for v in _as_vector(c).components()]
-    best = Fraction(0)
-    for signs in _SIGN_PATTERNS:
-        acc = sum((s * v for s, v in zip(signs, e)), Fraction(0))
-        if acc < 0:
-            acc = -acc
-        if acc > best:
-            best = acc
-    return best
+    return sign_sum_max([Fraction(v) for v in _as_vector(c).components()])
 
 
 def arcsin_sum_max(c) -> float:
     """Max over the four sign patterns of |sum of signed asin(e_ij)|."""
     comps = _as_vector(c).components()
-    t = [math.asin(min(1.0, max(-1.0, float(v)))) for v in comps]
-    return max(abs(sum(s * v for s, v in zip(signs, t))) for signs in _SIGN_PATTERNS)
+    return float_sign_sum_max(*(math.asin(min(1.0, max(-1.0, float(v)))) for v in comps))
 
 
 def bell_ch_fine(c, epsilon: float = DEFAULT_EPSILON) -> FamilyReport:

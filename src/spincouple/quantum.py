@@ -31,7 +31,7 @@ class SettingVector:
         for name in ("x", "y", "z"):
             object.__setattr__(self, name, float(getattr(self, name)))
         norm = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-        if abs(norm - 1.0) > _UNIT_EPS:
+        if not abs(norm - 1.0) <= _UNIT_EPS:  # NaN fails this test too
             raise DomainError(f"setting vector has norm {norm!r}, expected 1 within {_UNIT_EPS}")
 
     def dot(self, other: "SettingVector") -> float:
@@ -43,6 +43,8 @@ def unit(x: float, y: float, z: float) -> SettingVector:
     norm = math.sqrt(x * x + y * y + z * z)
     if norm == 0.0:
         raise DomainError("cannot normalize the zero vector")
+    if not math.isfinite(norm):
+        raise DomainError(f"cannot normalize ({x!r}, {y!r}, {z!r}): its norm is {norm!r}")
     return SettingVector(x / norm, y / norm, z / norm)
 
 

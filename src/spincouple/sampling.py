@@ -15,12 +15,11 @@ connection targets at denominator <= 10^6 (connection tests feed those
 rationalized targets to that exact decision).
 
 Membership is decided on the integer numerators k, not on Fractions: bell
-and tsirelson compare M = max |±k11 ± k12 ± k21 ± k22| (one minus sign)
-with integer thresholds worked out at import from the comparisons on
-k/1000 that they replace, and quantum sums asin(k/1000) in the order
-`arcsin_sum_max` does.  An accepted draw is built from a cache of the
-frozen uniform-marginal pair distribution of each numerator (2001 at
-most), so no Fraction is made for a rejected draw.
+and tsirelson compare `sign_sum_max(k)` (= GRID * `chsh_max`) with integer
+thresholds, and quantum passes the cached asin(k/1000) to the same
+`float_sign_sum_max` that `arcsin_sum_max` uses.  An accepted draw is built
+from a cache of the frozen uniform-marginal pair distribution of each
+numerator (2001 at most), so no Fraction is made for a rejected draw.
 """
 
 from __future__ import annotations
@@ -41,7 +40,8 @@ from .inequalities import (
     FAMILY_BELL,
     FAMILY_QUANTUM,
     FAMILY_TSIRELSON,
-    TSIRELSON_BOUND,
+    float_sign_sum_max,
+    sign_sum_max,
 )
 
 REJECTION_CAP = 100_000
@@ -69,42 +69,23 @@ def draw_correlation_components(rng: random.Random) -> tuple[int, ...]:
     return r(-GRID, GRID), r(-GRID, GRID), r(-GRID, GRID), r(-GRID, GRID)
 
 
-# Thresholds on M = GRID * chsh_max: strictly inside a family with margin iff
-# M <= *_IN, strictly outside iff M >= *_OUT.  Bell's compare M/GRID exactly
-# with 2 -/+ Fraction(BOUNDARY_MARGIN), which is slightly above 1/10000.
-# Tsirelson's compare the correctly rounded float M / GRID with a float bound:
-# the exact floor (ceil) is right unless the next M rounds onto the bound.
-_BELL_IN = math.floor(GRID * (2 - Fraction(BOUNDARY_MARGIN)))
-_BELL_OUT = math.ceil(GRID * (2 + Fraction(BOUNDARY_MARGIN)))
-_T_IN = TSIRELSON_BOUND - BOUNDARY_MARGIN
-_T_OUT = TSIRELSON_BOUND + BOUNDARY_MARGIN
-_TSIRELSON_IN = math.floor(GRID * Fraction(_T_IN))
-_TSIRELSON_IN += (_TSIRELSON_IN + 1) / GRID <= _T_IN
-_TSIRELSON_OUT = math.ceil(GRID * Fraction(_T_OUT))
-_TSIRELSON_OUT -= (_TSIRELSON_OUT - 1) / GRID >= _T_OUT
+# Thresholds on M = sign_sum_max(k) = GRID * chsh_max: M <= *_IN iff the
+# draw is strictly inside the family with margin, M >= *_OUT iff strictly
+# outside.  The bell pair reproduces chsh_max <= 2 - m and >= 2 + m with
+# m = Fraction(BOUNDARY_MARGIN); the tsirelson pair reproduces the float
+# comparisons float(chsh_max) <= TSIRELSON_BOUND - BOUNDARY_MARGIN and
+# >= TSIRELSON_BOUND + BOUNDARY_MARGIN.  The sampling tests check both for
+# every M.
+_BELL_IN, _BELL_OUT = 1999, 2001
+_TSIRELSON_IN, _TSIRELSON_OUT = 2828, 2829
 _PI_IN = math.pi - BOUNDARY_MARGIN
 _PI_OUT = math.pi + BOUNDARY_MARGIN
-
-
-def _chsh_numerator(k) -> int:
-    """GRID * chsh_max of the components k/GRID: the largest |sum| with one
-    component negated."""
-    s = sum(k)
-    return max(s - 2 * min(k), 2 * max(k) - s)
 
 
 @functools.cache
 def _asin(k: int) -> float:
     # k / GRID is correctly rounded, so it is float(Fraction(k, GRID))
     return math.asin(k / GRID)
-
-
-def _arcsin_max(k) -> float:
-    """arcsin_sum_max of the components k/GRID, summed in the same order."""
-    a, b, c, d = map(_asin, k)
-    return max(
-        abs(a + b + c - d), abs(a + b - c + d), abs(a - b + c + d), abs(-a + b + c + d)
-    )
 
 
 @functools.cache
@@ -122,12 +103,12 @@ def _grid_scenario(k) -> Scenario:
 
 # (family, member) -> test on the four numerators of one draw
 _FAMILY_TESTS = {
-    (FAMILY_BELL, True): lambda k: _chsh_numerator(k) <= _BELL_IN,
-    (FAMILY_BELL, False): lambda k: _chsh_numerator(k) >= _BELL_OUT,
-    (FAMILY_QUANTUM, True): lambda k: _arcsin_max(k) <= _PI_IN,
-    (FAMILY_QUANTUM, False): lambda k: _arcsin_max(k) >= _PI_OUT,
-    (FAMILY_TSIRELSON, True): lambda k: _chsh_numerator(k) <= _TSIRELSON_IN,
-    (FAMILY_TSIRELSON, False): lambda k: _chsh_numerator(k) >= _TSIRELSON_OUT,
+    (FAMILY_BELL, True): lambda k: sign_sum_max(k) <= _BELL_IN,
+    (FAMILY_BELL, False): lambda k: sign_sum_max(k) >= _BELL_OUT,
+    (FAMILY_QUANTUM, True): lambda k: float_sign_sum_max(*map(_asin, k)) <= _PI_IN,
+    (FAMILY_QUANTUM, False): lambda k: float_sign_sum_max(*map(_asin, k)) >= _PI_OUT,
+    (FAMILY_TSIRELSON, True): lambda k: sign_sum_max(k) <= _TSIRELSON_IN,
+    (FAMILY_TSIRELSON, False): lambda k: sign_sum_max(k) >= _TSIRELSON_OUT,
 }
 
 
@@ -160,7 +141,9 @@ STRATA = ("bell", "quantum-only", "super-tsirelson", "nosig-violating")
 _STRATUM_TESTS = {
     "bell": _FAMILY_TESTS[FAMILY_BELL, True],
     # the arcsin sum only for draws already outside bell
-    "quantum-only": lambda k: _chsh_numerator(k) >= _BELL_OUT and _arcsin_max(k) <= _PI_IN,
+    "quantum-only": lambda k: (
+        sign_sum_max(k) >= _BELL_OUT and float_sign_sum_max(*map(_asin, k)) <= _PI_IN
+    ),
     "super-tsirelson": _FAMILY_TESTS[FAMILY_TSIRELSON, False],
 }
 

@@ -1,4 +1,7 @@
+import pytest
+
 from spincouple import (
+    DomainError,
     STRATA,
     bell_ch_fine,
     fine_agreement_campaign,
@@ -38,3 +41,10 @@ def test_uninformativeness_campaign_partial_cycle():
     totals = {k: t for k, (_s, t) in r.per_stratum.items()}
     assert totals[STRATA[0]] == 6  # slots 0 and 4
     assert totals[STRATA[1]] == totals[STRATA[2]] == totals[STRATA[3]] == 3
+
+
+@pytest.mark.parametrize("campaign", [fine_agreement_campaign, uninformativeness_campaign])
+def test_campaigns_refuse_a_negative_size(campaign):
+    with pytest.raises(DomainError, match=">= 0, got -3"):
+        campaign(-3, seed=0)
+    campaign(0, seed=0)  # an empty campaign is allowed

@@ -249,6 +249,7 @@ def test_connections_validation(capsys):
     code, _, err = run(capsys, "connections", "--conn", "1,1,1,1", "--family", "bell",
                        "--role", "fitting", "--n", "0")
     assert code == 2
+    assert "--n must be >= 1, got 0" in err
     code, _, err = run(capsys, "connections", "--conn", "1,1,1,1", "--family", "bell",
                        "--role", "fitting", "--n", "5", "--seed", "-1")
     assert code == 2
@@ -309,6 +310,14 @@ def test_demo_fine_is_reproducible(capsys):
     assert doc1 == doc2
     assert doc1["agreements"] == 25
     assert doc1["mismatch_indices"] == []
+
+
+def test_demo_n_has_its_own_bound(capsys):
+    code, doc, _ = run(capsys, "demo", "fine", "--n", "0")
+    assert code == 0 and doc["agreements"] == doc["n"] == 0
+    code, doc, err = run(capsys, "demo", "uninformative", "--n", "-1")
+    assert code == 2 and doc is None
+    assert "--n must be >= 0, got -1" in err
 
 
 def test_demo_tsirelson_tight(capsys):
@@ -399,6 +408,16 @@ def test_malformed_json_reports_usage_error(capsys, tmp_path):
     assert code == 2
     assert doc is None
     assert "malformed JSON" in err
+
+
+def test_bad_cell_is_reported_by_context_and_cell(capsys, tmp_path):
+    good = scenario_document(scenario_from_correlations((F(0),) * 4))
+    good["pairs"]["22"]["mm"] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(good))
+    code, doc, err = run(capsys, "check", str(path))
+    assert code == 2 and doc is None
+    assert 'context "22": p_mm: booleans are not probabilities' in err
 
 
 def test_missing_file_reports_usage_error(capsys, tmp_path):

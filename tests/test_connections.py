@@ -59,9 +59,10 @@ def test_rationalize():
     assert abs(float(r) - math.sqrt(2) / 2) < 1e-6
     with pytest.raises(DomainError):
         rationalize(1.5, 10**6)
-    with pytest.raises(DomainError):
-        rationalize(0.5, 0)
-    for x in (math.nan, math.inf, -math.inf):
+    for bad in (0, -3, True, False, 2.5, 10.0, "10", None):
+        with pytest.raises(DomainError, match="max_denominator"):
+            rationalize(0.5, bad)
+    for x in (math.nan, math.inf, -math.inf, True, False, None, "x"):
         with pytest.raises(DomainError):
             rationalize(x, 10)
 

@@ -44,6 +44,21 @@ def test_pair_distribution_rejects_bad_cells():
         PairDistribution(0.25, 0.25, 0.25, 0.25)  # floats refused
 
 
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ((True, 0, 0, 0), "p_pp: booleans are not probabilities"),
+        (("1/2", "x", "1/4", "1/4"), "p_pm: cannot parse rational from 'x'"),
+        ((F(1, 2), F(1, 4), 0.25, 0), "p_mp: refusing float 0.25"),
+        ((0, 0, 0, None), "p_mm: cannot interpret NoneType"),
+    ],
+)
+def test_pair_distribution_errors_name_the_cell(cells, message):
+    with pytest.raises(DomainError) as exc:
+        PairDistribution(*cells)
+    assert str(exc.value).startswith(message)
+
+
 def test_scenario_requires_all_contexts():
     pd = PairDistribution(F(1, 4), F(1, 4), F(1, 4), F(1, 4))
     with pytest.raises(StructuralError):

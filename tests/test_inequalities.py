@@ -31,8 +31,18 @@ from spincouple import (
     solve_feasibility,
     tsirelson,
 )
+from spincouple.inequalities import float_sign_sum_max, sign_sum_max
 
 F = Fraction
+
+# one minus sign, rotating over the four positions
+_SIGN_PATTERNS = ((1, 1, 1, -1), (1, 1, -1, 1), (1, -1, 1, 1), (-1, 1, 1, 1))
+
+
+def _sign_sum_loop(v):
+    """The four one-minus-sign sums spelled out, each summed left to right
+    from 0; the oracle for both closed forms."""
+    return max(abs(sum(s * x for s, x in zip(signs, v))) for signs in _SIGN_PATTERNS)
 
 
 def _bell_lp_oracle(components) -> bool:
@@ -92,6 +102,36 @@ def test_chsh_max_converts_floats_exactly():
     # 0.1 is not 1/10 in binary; the exact conversion must be used as-is
     m = chsh_max((0.1, 0.1, 0.1, 0.1))
     assert m == 2 * F(0.1)
+
+
+def test_sign_sum_max_equals_the_four_pattern_loop():
+    rng = random.Random(2718)
+    cases = [(-1, -1, -1, -1), (-3, -7, -2, -5), (0, 0, 0, 0), (5, 5, 5, 5), (2, -2, 2, -2)]
+    for _ in range(2000):
+        pool = [rng.randint(-1000, 1000) for _ in range(2)]  # small pools force ties
+        cases.append(tuple(rng.choice(pool) for _ in range(4)))
+        cases.append(tuple(rng.randint(-1000, 1000) for _ in range(4)))
+        cases.append(tuple(-rng.randint(0, 1000) for _ in range(4)))
+    for v in cases:
+        exact = tuple(F(x, rng.randint(1, 60)) for x in v)
+        for w in (v, exact, tuple(F(x, 1000) for x in v)):
+            got = sign_sum_max(w)
+            assert got == _sign_sum_loop(w) and type(got) is type(w[0]), w
+        assert chsh_max(tuple(F(x, 1000) for x in v)) == F(sign_sum_max(v), 1000)
+
+
+def test_arcsin_sum_max_equals_the_four_pattern_loop_bit_for_bit():
+    rng = random.Random(1618)
+    grid = [x / 1000 for x in range(-1000, 1001)]
+    for _ in range(5000):
+        for e in (
+            tuple(rng.uniform(-1.0, 1.0) for _ in range(4)),
+            tuple(rng.choice(grid) for _ in range(4)),
+        ):
+            t = [math.asin(x) for x in e]
+            expected = _sign_sum_loop(t)
+            assert arcsin_sum_max(e) == expected, e
+            assert float_sign_sum_max(*t) == expected, e
 
 
 def test_arcsin_sum_max_known_values():

@@ -28,6 +28,9 @@ def test_setting_vector_requires_unit_norm():
         SettingVector(1.0, 1.0, 0.0)
     with pytest.raises(DomainError):
         SettingVector(0.0, 0.0, 0.999)
+    for bad in ((math.nan, 0.0, 0.0), (1.0, math.nan, 0.0), (math.inf, 0.0, 0.0)):
+        with pytest.raises(DomainError):
+            SettingVector(*bad)
 
 
 def test_unit_normalizes_and_rejects_zero():
@@ -36,6 +39,9 @@ def test_unit_normalizes_and_rejects_zero():
     assert unit(0.0, 0.0, -7.0).z == -1.0
     with pytest.raises(DomainError):
         unit(0.0, 0.0, 0.0)
+    for bad in ((math.inf, 0.0, 0.0), (math.nan, 1.0, 0.0), (0.0, 0.0, -math.inf)):
+        with pytest.raises(DomainError, match="norm"):
+            unit(*bad)
 
 
 def test_singlet_correlations_are_negated_dots():
