@@ -28,8 +28,6 @@ from .conditionalization import (
     verify_conditionals,
 )
 from .connections import (
-    RATIONALIZE_MAX_DENOMINATOR,
-    rationalize,
     test_equivalent,
     test_fitting,
     test_forcing,
@@ -44,18 +42,20 @@ from .couplings import (
 )
 from .distributions import (
     CONTEXTS,
+    RATIONALIZE_MAX_DENOMINATOR,
     PairDistribution,
     Scenario,
+    as_rational,
     check_no_signaling,
+    rationalize,
     scenario_from_correlations,
 )
-from .errors import SpincoupleError
+from .errors import DomainError, SpincoupleError
 from .inequalities import (
     DEFAULT_EPSILON,
     FAMILIES,
     family_report,
 )
-from .lp import as_rational
 from .quantum import singlet_correlations, standard_chsh_settings
 
 SCHEMA_VERSION = "1"
@@ -135,50 +135,18 @@ def _read_json(path: str):
                 text = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read {path!r} as UTF-8 text: {exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON in {path!r}: {exc}") from None
+    except RecursionError:
+        raise CliError(f"JSON in {path!r} is nested too deeply to read") from None
 
 
 def _load_scenario(path: str) -> tuple[Scenario, dict]:
     return parse_scenario_document(_read_json(path))
-
-
-def _parse_number_token(tok: str, where: str) -> tuple[Fraction, float | None]:
-    """One correlation/connection component from the command line.
-
-    'a/b' and integers are taken exactly; decimal notation goes through
-    float and is rationalized at denominator <= 10^6 (the original float is
-    reported back).  Returns (exact value, original float or None).
-    """
-    tok = tok.strip()
-    if not tok:
-        raise CliError(f"{where}: empty component")
-    if "/" in tok:
-        try:
-            return Fraction(tok), None
-        except (ValueError, ZeroDivisionError):
-            raise CliError(
-                f"{where}: cannot parse {tok!r} as a rational; rationalize first "
-                f"(write a fraction like '70711/100000')"
-            ) from None
-    try:
-        return Fraction(int(tok)), None
-    except ValueError:
-        pass
-    try:
-        f = float(tok)
-    except ValueError:
-        raise CliError(
-            f"{where}: cannot parse {tok!r}; rationalize first "
-            f"(write a fraction like '70711/100000' or a decimal)"
-        ) from None
-    if math.isnan(f) or math.isinf(f):
-        raise CliError(f"{where}: {tok!r} is not a finite number")
-    if abs(f) > 1.0:
-        raise CliError(f"{where}: {f} is outside [-1, 1]")
-    return rationalize(f, RATIONALIZE_MAX_DENOMINATOR), f
 
 
 def _split_four(text: str, where: str) -> list[str]:
@@ -189,15 +157,31 @@ def _split_four(text: str, where: str) -> list[str]:
 
 
 def _parse_four(text: str, where: str) -> tuple[list[Fraction], dict]:
+    """Four correlation/connection components from the command line.
+
+    'a/b' and integers are taken exactly; decimal notation goes through
+    float and is rationalized at denominator <= 10^6, and the original
+    float is reported back under "rationalized_from".
+    """
     values = []
     originals = {}
     for k, tok in enumerate(_split_four(text, where)):
-        v, orig = _parse_number_token(tok, f"{where}[{k}]")
-        if v < -1 or v > 1:
-            raise CliError(f"{where}[{k}]: {v} is outside [-1, 1]")
+        at = f"{where}[{k}]"
+        tok = tok.strip()
+        exact = "/" in tok or tok.lstrip("+-").replace("_", "").isdecimal()
+        try:
+            v = as_rational(tok) if exact else float(tok)
+        except (DomainError, ValueError):
+            raise CliError(
+                f"{at}: cannot parse {tok!r}; rationalize first "
+                f"(write a fraction like '70711/100000' or a decimal)"
+            ) from None
+        if not exact:
+            originals[str(k)] = v
+            v = _tagged(at, rationalize, v, RATIONALIZE_MAX_DENOMINATOR)
+        elif v < -1 or v > 1:
+            raise CliError(f"{at}: {v} is outside [-1, 1]")
         values.append(v)
-        if orig is not None:
-            originals[str(k)] = orig
     meta = {}
     if originals:
         meta["rationalized_from"] = originals

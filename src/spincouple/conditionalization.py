@@ -32,10 +32,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping, Optional
 
-from .distributions import CONTEXTS, Context, Scenario, check_no_signaling
+from .distributions import CONTEXTS, Context, Scenario, as_rational, check_no_signaling
 from .errors import DomainError, StructuralError
 from .inequalities import Classification, classify
-from .lp import as_rational
 
 _PM = (1, -1)
 _CELLS = tuple(product(_PM, _PM))

@@ -8,7 +8,9 @@ it does both.  Those quantifiers range over all uniform-marginal scenarios,
 which no finite run can exhaust, so the tests here are honest sampled
 versions: n scenarios per quantifier, verdicts tagged with samples_checked,
 and every false verdict backed by a counterexample scenario whose coupling
-verdict is exact.
+verdict is exact.  The sampled quantifiers range over the 1/1000
+correlation grid, members and violators kept 1e-4 away from the family
+boundary (sampling.BOUNDARY_MARGIN), not over the closed family.
 
 A fitting test first tries the family's extreme point in each of the 16
 sign directions sigma of the correlation vector: the deterministic point
@@ -17,6 +19,13 @@ bell and r * sigma for quantum and tsirelson, r the largest fraction with
 denominator <= 10^6 below sqrt(2) / 2.  A vector that does not fit is
 most often refuted at one of those boundary members; seeded samples from
 inside the family fill the remaining slots.
+
+A forcing test first tries one boundary violator: the uniform scenario
+with correlations (m/4) (1, 1, 1, -1), m = min(6 - v, 4, 8 - o), where o
+and v are the largest odd- and even-sign-pattern sums of the targets.  It
+admits a coupling with the targets, so it refutes forcing whenever it
+violates the family by the same 1e-4 margin as the sampled violators; when
+it does not, the test samples exactly as without it.
 
 The closed-form predicates the samplers are checked against:
 
@@ -37,18 +46,32 @@ from itertools import product
 from typing import Optional
 
 from .couplings import ConnectionVector, coupling_exists
-from .distributions import Scenario, scenario_from_correlations
+from .distributions import (
+    RATIONALIZE_MAX_DENOMINATOR,
+    Scenario,
+    rationalize,
+    scenario_from_correlations,
+)
 from .errors import DomainError
-from .inequalities import DEFAULT_EPSILON, FAMILIES, FAMILY_BELL, family_report
-from .sampling import sample_scenario_in_family
+from .inequalities import (
+    DEFAULT_EPSILON,
+    FAMILIES,
+    FAMILY_BELL,
+    FAMILY_QUANTUM,
+    FAMILY_TSIRELSON,
+    TSIRELSON_BOUND,
+    arcsin_sum_max,
+    chsh_max,
+    family_report,
+    sign_sum_max,
+)
+from .sampling import BOUNDARY_MARGIN, sample_scenario_in_family
 
 S2_EVEN_BOUND = 2.0 * (3.0 - math.sqrt(2.0))
 
 _ALL_SIGNS = tuple(product((1, -1), repeat=4))
 _EVEN_SIGNS = tuple(s for s in _ALL_SIGNS if s.count(1) % 2 == 0)
 _ODD_SIGNS = tuple(s for s in _ALL_SIGNS if s.count(1) % 2 == 1)
-
-RATIONALIZE_MAX_DENOMINATOR = 10**6
 
 
 @dataclass(frozen=True)
@@ -84,25 +107,6 @@ def satisfies_s2_prime(conn, epsilon: float = DEFAULT_EPSILON) -> bool:
     even_max = max(sum(s * c for s, c in zip(signs, comps)) for signs in _EVEN_SIGNS)
     odd_max = max(sum(s * c for s, c in zip(signs, comps)) for signs in _ODD_SIGNS)
     return abs(even_max - S2_EVEN_BOUND) <= epsilon and odd_max <= 2.0 + epsilon
-
-
-def rationalize(x, max_denominator: int) -> Fraction:
-    """Best rational approximation with denominator <= max_denominator.
-
-    Continued-fraction convergents via Fraction.limit_denominator, which
-    returns the closest such fraction.
-    """
-    if type(max_denominator) is not int or max_denominator < 1:  # bools refused too
-        raise DomainError(f"max_denominator must be an int >= 1, got {max_denominator!r}")
-    if isinstance(x, bool):
-        raise DomainError(f"rationalize expects a number, got {x!r}")
-    try:
-        f = Fraction(x)
-    except (ValueError, OverflowError, TypeError):  # NaN, infinities, non-numbers
-        raise DomainError(f"rationalize expects a finite number, got {x!r}") from None
-    if f < -1 or f > 1:
-        raise DomainError(f"rationalize expects |x| <= 1, got {x!r}")
-    return f.limit_denominator(max_denominator)
 
 
 def exact_connection(conn) -> ConnectionVector:
@@ -155,6 +159,38 @@ def _extreme_members(family: str) -> tuple[Scenario, ...]:
     return tuple(out)
 
 
+# family -> does a correlation vector violate it by the sampler's margin?
+# The comparisons that the sampler's violator thresholds reproduce.
+_MARGIN_VIOLATORS = {
+    FAMILY_BELL: lambda e: chsh_max(e) >= 2 + Fraction(BOUNDARY_MARGIN),
+    FAMILY_QUANTUM: lambda e: arcsin_sum_max(e) >= math.pi + BOUNDARY_MARGIN,
+    FAMILY_TSIRELSON: lambda e: float(chsh_max(e)) >= TSIRELSON_BOUND + BOUNDARY_MARGIN,
+}
+
+
+def _boundary_violator(family: str, exact: ConnectionVector) -> Optional[Scenario]:
+    """The uniform scenario with correlations e = (m/4) (1, 1, 1, -1), when
+    it violates the family by the sampler's margin; otherwise None.
+
+    With o the largest odd-pattern sum of the targets c (sign_sum_max), v
+    the largest even-pattern sum and m = min(6 - v, 4, 8 - o), e and c meet
+    every cycle inequality of a uniform-marginal coupling (Kujala,
+    Dzhafarov & Larsson, PRL 115, 150401, 2015): odd sign patterns give
+    sigma . e <= m <= 6 - v, even ones sigma . e <= m/2 <= 6 - o, and every
+    |e_ij| <= 1.  So the scenario couples with c; its CHSH maximum is m.
+    """
+    c = exact.rational_components()
+    o = sign_sum_max(c)
+    # the 8 even sign patterns are these four sums and their negations
+    a, b, x, y = c
+    v = max(abs(a + b + x + y), abs(a + b - x - y), abs(a - b + x - y), abs(a - b - x + y))
+    q = Fraction(min(6 - v, 4, 8 - o), 4)
+    e = (q, q, q, -q)
+    if not _MARGIN_VIOLATORS[family](e):
+        return None
+    return scenario_from_correlations(e)
+
+
 def _run_samples(conn, family: str, sampler_seed: int, n: int, role: str) -> SetRole:
     # fitting: members must be feasible; forcing: violators must be infeasible
     _check_family(family)
@@ -163,7 +199,11 @@ def _run_samples(conn, family: str, sampler_seed: int, n: int, role: str) -> Set
     member = role == "fitting"
     target = _as_connection(conn)
     exact = exact_connection(target)
-    extremes = _extreme_members(family) if member else ()
+    if member:
+        extremes = _extreme_members(family)
+    else:
+        violator = _boundary_violator(family, exact)
+        extremes = () if violator is None else (violator,)
     for k in range(n):
         if k < len(extremes):
             s = extremes[k]
@@ -192,7 +232,9 @@ def test_fitting(conn, family: str, sampler_seed: int, n: int) -> SetRole:
 
 
 def test_forcing(conn, family: str, sampler_seed: int, n: int) -> SetRole:
-    """Sampled check that every family violator rejects the connections."""
+    """Sampled check that every family violator rejects the connections:
+    the boundary violator first, when it violates by the margin, then
+    seeded violators."""
     return _run_samples(conn, family, sampler_seed, n, "forcing")
 
 
@@ -200,9 +242,9 @@ def test_equivalent(conn, family: str, sampler_seed: int, n: int) -> SetRole:
     """Fitting and forcing combined; fails as soon as either leg fails.
 
     The forcing leg runs first: a vector that is not equivalent is usually
-    refuted by a violator that still couples, and those counterexamples
-    surface within a handful of samples, while refutations of the fitting
-    leg tend to need many more.
+    refuted by a violator that still couples, most often the boundary
+    violator at the first sample, while refutations of the fitting leg tend
+    to need many more.
     """
     force = test_forcing(conn, family, sampler_seed, n)
     if not force.verdict:

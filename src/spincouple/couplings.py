@@ -36,9 +36,15 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping, Optional, Union
 
-from .distributions import CONTEXTS, Context, PairDistribution, Scenario, _check_components
+from .distributions import (
+    CONTEXTS,
+    Context,
+    PairDistribution,
+    Scenario,
+    _check_components,
+    as_rational,
+)
 from .errors import DomainError, StructuralError
-from .lp import LinearProgram, LpStatus, as_rational
 
 Pattern = tuple[int, ...]
 
@@ -99,7 +105,7 @@ class ConnectionVector:
 
         Coupling questions are decided exactly on the fan, so irrational
         (float-valued) targets must be rationalized by the caller first
-        (connections.rationalize).
+        (distributions.rationalize).
         """
         out = []
         for name, v in zip(("cA1", "cA2", "cB1", "cB2"), self.components()):
@@ -371,7 +377,7 @@ def pair_coupling_range_lp(p, q) -> tuple[Fraction, Fraction]:
     if not (0 <= p <= 1 and 0 <= q <= 1):
         raise DomainError(f"marginal probabilities must lie in [0, 1], got {p}, {q}")
     # no coupling question needs the LP; only this cross-check does
-    from .lp import optimize
+    from .lp import LinearProgram, LpStatus, optimize
 
     one = Fraction(1)
     zero = Fraction(0)

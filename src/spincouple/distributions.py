@@ -5,6 +5,9 @@ one Alice outcome A_ij and one Bob outcome B_ij, both valued in {+1, -1},
 are recorded together.  A Scenario is the full table of four contexts.
 Probabilities are exact rationals throughout; only correlation vectors may
 carry floats (they are allowed to come from inner products of unit vectors).
+
+Outside numbers become exact rationals here alone: as_rational refuses
+floats, and rationalize converts a deliberate float at a bounded denominator.
 """
 
 from __future__ import annotations
@@ -14,12 +17,13 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from .errors import DomainError, StructuralError
-from .lp import as_rational
 
 Context = tuple[int, int]
 CONTEXTS: tuple[Context, ...] = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 _EPS = 1e-9
+
+RATIONALIZE_MAX_DENOMINATOR = 10**6
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,48 @@ class Scenario:
 
     def correlations(self) -> "CorrelationVector":
         return CorrelationVector(*(correlation(self.pairs[c]) for c in CONTEXTS))
+
+
+def as_rational(value) -> Fraction:
+    """Coerce int / Fraction / 'num/den' or decimal string to Fraction.
+
+    Floats are refused: every probability in this package is exact, and a
+    silently converted float almost always means an upstream mistake.  Use
+    rationalize for deliberate float-to-rational conversion.
+    """
+    if isinstance(value, bool):
+        raise DomainError("booleans are not probabilities")
+    if isinstance(value, float):
+        raise DomainError(
+            f"refusing float {value!r}: pass a Fraction, an int, or a string like '7/10'"
+        )
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"cannot parse rational from {value!r}") from exc
+    raise DomainError(f"cannot interpret {type(value).__name__} as an exact rational")
+
+
+def rationalize(x, max_denominator: int) -> Fraction:
+    """Best rational approximation with denominator <= max_denominator.
+
+    Continued-fraction convergents via Fraction.limit_denominator, which
+    returns the closest such fraction.
+    """
+    if type(max_denominator) is not int or max_denominator < 1:  # bools refused too
+        raise DomainError(f"max_denominator must be an int >= 1, got {max_denominator!r}")
+    if isinstance(x, bool):
+        raise DomainError(f"rationalize expects a number, got {x!r}")
+    try:
+        f = Fraction(x)
+    except (ValueError, OverflowError, TypeError):  # NaN, infinities, non-numbers
+        raise DomainError(f"rationalize expects a finite number, got {x!r}") from None
+    if f < -1 or f > 1:
+        raise DomainError(f"rationalize expects |x| <= 1, got {x!r}")
+    return f.limit_denominator(max_denominator)
 
 
 def _check_components(obj, names: tuple[str, ...]) -> None:

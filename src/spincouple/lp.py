@@ -46,29 +46,6 @@ def kernel_backend() -> str:
 Rational = Fraction
 
 
-def as_rational(value) -> Fraction:
-    """Coerce int / Fraction / 'num/den' or decimal string to Fraction.
-
-    Floats are refused: every probability in this package is exact, and a
-    silently converted float almost always means an upstream mistake.  Use
-    connections.rationalize for deliberate float-to-rational conversion.
-    """
-    if isinstance(value, bool):
-        raise DomainError("booleans are not probabilities")
-    if isinstance(value, float):
-        raise DomainError(
-            f"refusing float {value!r}: pass a Fraction, an int, or a string like '7/10'"
-        )
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"cannot parse rational from {value!r}") from exc
-    raise DomainError(f"cannot interpret {type(value).__name__} as an exact rational")
-
-
 class LpStatus(Enum):
     FEASIBLE = "feasible"
     INFEASIBLE = "infeasible"

@@ -39,13 +39,21 @@ class SettingVector:
 
 
 def unit(x: float, y: float, z: float) -> SettingVector:
-    """Normalize an arbitrary nonzero 3-vector into a SettingVector."""
-    norm = math.sqrt(x * x + y * y + z * z)
+    """Normalize an arbitrary nonzero finite 3-vector into a SettingVector."""
+    u, v, w = x, y, z
+    norm = math.sqrt(u * u + v * v + w * w)
+    scale = max(abs(x), abs(y), abs(z))
+    if (norm == 0.0 or not math.isfinite(norm)) and 0.0 < scale < math.inf:
+        # the squares underflowed or overflowed; with the largest component
+        # scaled to 1 they cannot.  (math.hypot cannot either, but it differs
+        # from the plain norm in the last bit and would move random_settings.)
+        u, v, w = x / scale, y / scale, z / scale
+        norm = math.sqrt(u * u + v * v + w * w)
     if norm == 0.0:
         raise DomainError("cannot normalize the zero vector")
     if not math.isfinite(norm):
         raise DomainError(f"cannot normalize ({x!r}, {y!r}, {z!r}): its norm is {norm!r}")
-    return SettingVector(x / norm, y / norm, z / norm)
+    return SettingVector(u / norm, v / norm, w / norm)
 
 
 def singlet_correlations(

@@ -23,7 +23,7 @@ from spincouple import (
     Scenario,
     StructuralError,
 )
-from spincouple.lp import as_rational
+from spincouple.distributions import as_rational
 
 _PM = (1, -1)
 _CELLS = tuple(product(_PM, _PM))

@@ -1,19 +1,27 @@
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
 from spincouple import (
+    CONNECTION_NAMES,
+    ConnectionVector,
+    coupling_exists,
     coupling_from_pattern_map,
+    family_report,
     scenario_from_correlations,
 )
 from spincouple.cli import (
     CliError,
+    _parse_four,
     main,
     parse_scenario_document,
     scenario_document,
 )
+
+import reference_coupling as oracle
 
 F = Fraction
 
@@ -241,6 +249,21 @@ def test_connections_equivalent_verdicts(capsys):
     assert scenario.pairs  # the certificate is a complete scenario document
 
 
+def test_connections_boundary_violator_refutes_tsirelson_forcing(capsys):
+    # the vector's even-pattern maximum is 3.1604 < 6 - 2*sqrt(2), so some
+    # tsirelson violator couples with it; interior samples missed it
+    code, doc, _ = run(capsys, "connections", "--conn=0.773913,0.682510,0.896068,0.807920",
+                       "--family", "tsirelson", "--role", "equivalent", "--n", "20",
+                       "--seed", "3975367376858025006")
+    assert code == 1
+    assert doc["verdict"] is False and doc["samples_checked"] == 1
+    scenario, _ = parse_scenario_document(doc["counterexample"]["scenario"])
+    assert not family_report("tsirelson", scenario.correlations()).satisfied
+    targets = ConnectionVector(*(Fraction(doc["conn"][name]) for name in CONNECTION_NAMES))
+    assert coupling_exists(scenario, targets).feasible
+    assert oracle.coupling_exists(scenario, targets).feasible
+
+
 def test_connections_validation(capsys):
     code, _, err = run(capsys, "connections", "--conn", "1,1,1", "--family", "bell",
                        "--role", "fitting")
@@ -426,6 +449,22 @@ def test_missing_file_reports_usage_error(capsys, tmp_path):
     assert "cannot read" in err
 
 
+def test_non_utf8_document_reports_usage_error(capsys, tmp_path):
+    bad = tmp_path / "latin.json"
+    bad.write_bytes(b'\xff\xfe{"pairs": 1}')
+    code, doc, err = run(capsys, "check", str(bad))
+    assert code == 2 and doc is None
+    assert str(bad) in err and "UTF-8" in err
+
+
+def test_deeply_nested_document_reports_usage_error(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 3000 + "]" * 3000)
+    code, doc, err = run(capsys, "check", str(deep))
+    assert code == 2 and doc is None
+    assert str(deep) in err and "nested" in err
+
+
 def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["check", "--frobnicate"])
@@ -483,3 +522,80 @@ def test_repeated_calls_share_no_parser_state(capsys):
     assert code == 1
     assert set(doc["families"]) == {"bell", "quantum", "tsirelson"}
     assert doc["correlations"]["e22"] == "-1"
+
+
+# ------------------------------------------------ number tokens on the line
+
+
+def _parse_number_token(tok, where):
+    """The command line's former number grammar, kept as the reference:
+    'a/b' and integers exact, decimals through float and the nearest
+    fraction with denominator <= 10^6.  Returns (value, float or None)."""
+    tok = tok.strip()
+    if not tok:
+        raise CliError(f"{where}: empty component")
+    if "/" in tok:
+        try:
+            return Fraction(tok), None
+        except (ValueError, ZeroDivisionError):
+            raise CliError(f"{where}: cannot parse {tok!r} as a rational") from None
+    try:
+        return Fraction(int(tok)), None
+    except ValueError:
+        pass
+    try:
+        f = float(tok)
+    except ValueError:
+        raise CliError(f"{where}: cannot parse {tok!r}") from None
+    if math.isnan(f) or math.isinf(f):
+        raise CliError(f"{where}: {tok!r} is not a finite number")
+    if abs(f) > 1.0:
+        raise CliError(f"{where}: {f} is outside [-1, 1]")
+    return Fraction(f).limit_denominator(10**6), f
+
+
+def _reference_parse_four(text, where):
+    values, originals = [], {}
+    for k, tok in enumerate(text.split(",")):
+        v, orig = _parse_number_token(tok, f"{where}[{k}]")
+        if v < -1 or v > 1:
+            raise CliError(f"{where}[{k}]: {v} is outside [-1, 1]")
+        values.append(v)
+        if orig is not None:
+            originals[str(k)] = orig
+    meta = {"rationalized_from": originals, "max_denominator": 10**6} if originals else {}
+    return values, meta
+
+
+NUMBER_TOKENS = [
+    "1/2", "-3/7", "+2/4", "0/5", "-1/1", "70711/100000",  # a/b
+    "0", "1", "-1", "+1", "-0", "+0", "0_1", "-0_1",  # signed integers
+    " 1/3", "1/4 ", "  -1  ", "\t0.5 ",  # surrounding spaces
+    "0.3", "-0.25", ".5", "-.75", "1.", "0.123456", "-0.999999",  # <= 6 digits
+    "0.1234567", "-0.70710678118", "0.9999999", "0.3333333333333333",  # > 6 digits
+    "1e-3", "-2.5E-1", "5e-1", "1e0", "-1E+0", "7.071e-01",  # exponents
+    "-0.0", "0.0", "1e-7", "-1e-7", "1e-300", "5e-324",
+]
+
+BAD_NUMBER_TOKENS = [
+    "", " ", "x", "sqrt(2)/2", "1/0", "1/2/3", "0.5/1", "1 / 2", "--1", "+-1", "1__0",
+    "nan", "inf", "-inf", "Infinity", "2", "-2", "3/2", "1.5", "-1.0000001", "1e3",
+]
+
+
+@pytest.mark.parametrize("tok", NUMBER_TOKENS)
+def test_parse_four_matches_the_reference_grammar(tok):
+    text = f"{tok},0,1/2,{tok}"
+    expected = _reference_parse_four(text, "--conn")
+    values, meta = _parse_four(text, "--conn")
+    assert (values, meta) == expected
+    assert json.dumps(meta) == json.dumps(expected[1])  # -0.0 is echoed as -0.0
+    assert all(type(v) is Fraction for v in values)
+
+
+@pytest.mark.parametrize("tok", BAD_NUMBER_TOKENS)
+def test_parse_four_rejects_what_the_reference_rejects(tok):
+    with pytest.raises(CliError):
+        _reference_parse_four(f"0,{tok},0,0", "--conn")
+    with pytest.raises(CliError, match=r"^--conn\[1\]: "):
+        _parse_four(f"0,{tok},0,0", "--conn")

@@ -7,12 +7,14 @@ and detects unboundedness through extreme-ray enumeration.  It shares no
 code with the simplex kernels.
 """
 
+import ast
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -271,6 +273,28 @@ def test_as_rational_accepts_and_refuses():
         as_rational("1/0")
     with pytest.raises(DomainError):
         as_rational(object())
+
+
+def _imports_lp(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        if node.level == 1:
+            return node.module == "lp" or (
+                node.module is None and any(a.name == "lp" for a in node.names)
+            )
+        return node.module == "spincouple.lp" or (
+            node.module == "spincouple" and any(a.name == "lp" for a in node.names)
+        )
+    return isinstance(node, ast.Import) and any(a.name == "spincouple.lp" for a in node.names)
+
+
+def test_lp_is_imported_only_by_the_package_and_the_range_cross_check():
+    # no verdict path needs the LP; it stays public for the cross-check
+    importers = set()
+    for path in sorted(Path(spincouple.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", None)
+            importers.update((path.stem, owner) for node in ast.walk(top) if _imports_lp(node))
+    assert importers == {("__init__", None), ("couplings", "pair_coupling_range_lp")}
 
 
 def test_kernel_backend_reports_shape():

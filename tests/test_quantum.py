@@ -44,6 +44,36 @@ def test_unit_normalizes_and_rejects_zero():
             unit(*bad)
 
 
+@pytest.mark.parametrize(
+    "v, expected",
+    [
+        ((1e200, 1e200, 0.0), (math.sqrt(0.5), math.sqrt(0.5), 0.0)),  # x*x overflows
+        ((-1e308, 0.0, 1e308), (-math.sqrt(0.5), 0.0, math.sqrt(0.5))),
+        ((1e-200, 0.0, 0.0), (1.0, 0.0, 0.0)),  # x*x underflows to 0
+        ((3e-170, 4e-170, 0.0), (0.6, 0.8, 0.0)),
+        ((0.0, -5e-324, 0.0), (0.0, -1.0, 0.0)),
+    ],
+)
+def test_unit_survives_squares_out_of_float_range(v, expected):
+    assert (unit(*v).x, unit(*v).y, unit(*v).z) == pytest.approx(expected, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        (0.0, -0.0, 0.0),
+        (1e200, math.nan, 0.0),
+        (math.nan, 1e-200, 0.0),
+        (1e-200, math.inf, 0.0),
+        (1e200, 0.0, -math.inf),
+        (math.inf, math.nan, 0.0),
+    ],
+)
+def test_unit_still_refuses_zero_nan_and_infinite_vectors(v):
+    with pytest.raises(DomainError, match="zero vector|norm"):
+        unit(*v)
+
+
 def test_singlet_correlations_are_negated_dots():
     a1 = SettingVector(1.0, 0.0, 0.0)
     a2 = SettingVector(0.0, 1.0, 0.0)
