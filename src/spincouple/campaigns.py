@@ -31,8 +31,8 @@ def fine_agreement_campaign(n: int, seed: int) -> FineCampaignResult:
     """For n seeded uniform-marginal scenarios (boundary cases included),
     compare identity-coupling existence with the exact classical-bound
     verdict; the two must coincide scenario by scenario."""
-    if n < 0:
-        raise DomainError(f"campaign size must be >= 0, got {n}")
+    if type(n) is not int or n < 0:  # bools refused too
+        raise DomainError(f"campaign size must be an int >= 0, got {n!r}")
     mismatches = []
     for k in range(n):
         s = sample_uniform_marginal_scenario(seed, k)
@@ -59,8 +59,8 @@ def uninformativeness_campaign(pairs: int, seed: int) -> UninformativenessCampai
     """pairs seeded (scenario, condition-distribution) draws, cycled across
     the four strata, each put through all three constructions and verified
     exactly."""
-    if pairs < 0:
-        raise DomainError(f"campaign size must be >= 0, got {pairs}")
+    if type(pairs) is not int or pairs < 0:  # bools refused too
+        raise DomainError(f"campaign size must be an int >= 0, got {pairs!r}")
     per_stratum = {name: [0, 0] for name in STRATA}
     successes = 0
     total = 0

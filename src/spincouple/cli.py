@@ -141,6 +141,8 @@ def _read_json(path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON in {path!r}: {exc}") from None
+    except ValueError as exc:  # an integer longer than Python's int-string limit
+        raise CliError(f"cannot read the JSON in {path!r}: {exc}") from None
     except RecursionError:
         raise CliError(f"JSON in {path!r} is nested too deeply to read") from None
 

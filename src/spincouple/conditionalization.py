@@ -27,10 +27,11 @@ denominators.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Mapping, Optional
+from typing import Optional
 
 from .distributions import CONTEXTS, Context, Scenario, as_rational, check_no_signaling
 from .errors import DomainError, StructuralError
@@ -95,6 +96,11 @@ class PartitionWeights:
         for ctx in CONTEXTS:
             if ctx not in self.t:
                 raise StructuralError(f"partition weights missing context {ctx}")
+            if not isinstance(self.t[ctx], Mapping):
+                raise StructuralError(
+                    f"partition weights for context {ctx} hold "
+                    f"{type(self.t[ctx]).__name__}, not a mapping of cells to weights"
+                )
             bad = [cell for cell in self.t[ctx] if cell not in _CELLS]
             if bad:
                 raise StructuralError(

@@ -8,9 +8,12 @@ it does both.  Those quantifiers range over all uniform-marginal scenarios,
 which no finite run can exhaust, so the tests here are honest sampled
 versions: n scenarios per quantifier, verdicts tagged with samples_checked,
 and every false verdict backed by a counterexample scenario whose coupling
-verdict is exact.  The sampled quantifiers range over the 1/1000
-correlation grid, members and violators kept 1e-4 away from the family
-boundary (sampling.BOUNDARY_MARGIN), not over the closed family.
+verdict is exact.  The seeded samples range over the 1/1000 correlation
+grid, members and violators kept 1e-4 away from the family boundary
+(sampling.BOUNDARY_MARGIN); the fixed first slots below are judged by
+family_report alone.  Float targets are rationalized (exact_connection)
+before any slot is tried, so every verdict concerns the rationalized
+targets.
 
 A fitting test first tries the family's extreme point in each of the 16
 sign directions sigma of the correlation vector: the deterministic point
@@ -23,9 +26,9 @@ inside the family fill the remaining slots.
 A forcing test first tries one boundary violator: the uniform scenario
 with correlations (m/4) (1, 1, 1, -1), m = min(6 - v, 4, 8 - o), where o
 and v are the largest odd- and even-sign-pattern sums of the targets.  It
-admits a coupling with the targets, so it refutes forcing whenever it
-violates the family by the same 1e-4 margin as the sampled violators; when
-it does not, the test samples exactly as without it.
+admits a coupling with the targets, so it refutes forcing whenever
+family_report calls it a violator; when it does not, the test samples
+exactly as without it.
 
 The closed-form predicates the samplers are checked against:
 
@@ -57,15 +60,10 @@ from .inequalities import (
     DEFAULT_EPSILON,
     FAMILIES,
     FAMILY_BELL,
-    FAMILY_QUANTUM,
-    FAMILY_TSIRELSON,
-    TSIRELSON_BOUND,
-    arcsin_sum_max,
-    chsh_max,
     family_report,
     sign_sum_max,
 )
-from .sampling import BOUNDARY_MARGIN, sample_scenario_in_family
+from .sampling import sample_scenario_in_family
 
 S2_EVEN_BOUND = 2.0 * (3.0 - math.sqrt(2.0))
 
@@ -159,18 +157,9 @@ def _extreme_members(family: str) -> tuple[Scenario, ...]:
     return tuple(out)
 
 
-# family -> does a correlation vector violate it by the sampler's margin?
-# The comparisons that the sampler's violator thresholds reproduce.
-_MARGIN_VIOLATORS = {
-    FAMILY_BELL: lambda e: chsh_max(e) >= 2 + Fraction(BOUNDARY_MARGIN),
-    FAMILY_QUANTUM: lambda e: arcsin_sum_max(e) >= math.pi + BOUNDARY_MARGIN,
-    FAMILY_TSIRELSON: lambda e: float(chsh_max(e)) >= TSIRELSON_BOUND + BOUNDARY_MARGIN,
-}
-
-
 def _boundary_violator(family: str, exact: ConnectionVector) -> Optional[Scenario]:
     """The uniform scenario with correlations e = (m/4) (1, 1, 1, -1), when
-    it violates the family by the sampler's margin; otherwise None.
+    family_report calls e a violator of the family; otherwise None.
 
     With o the largest odd-pattern sum of the targets c (sign_sum_max), v
     the largest even-pattern sum and m = min(6 - v, 4, 8 - o), e and c meet
@@ -186,7 +175,7 @@ def _boundary_violator(family: str, exact: ConnectionVector) -> Optional[Scenari
     v = max(abs(a + b + x + y), abs(a + b - x - y), abs(a - b + x - y), abs(a - b - x + y))
     q = Fraction(min(6 - v, 4, 8 - o), 4)
     e = (q, q, q, -q)
-    if not _MARGIN_VIOLATORS[family](e):
+    if family_report(family, e).satisfied:
         return None
     return scenario_from_correlations(e)
 
@@ -194,8 +183,8 @@ def _boundary_violator(family: str, exact: ConnectionVector) -> Optional[Scenari
 def _run_samples(conn, family: str, sampler_seed: int, n: int, role: str) -> SetRole:
     # fitting: members must be feasible; forcing: violators must be infeasible
     _check_family(family)
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    if type(n) is not int or n < 1:  # bools refused too
+        raise DomainError(f"n must be an int >= 1, got {n!r}")
     member = role == "fitting"
     target = _as_connection(conn)
     exact = exact_connection(target)
@@ -233,8 +222,9 @@ def test_fitting(conn, family: str, sampler_seed: int, n: int) -> SetRole:
 
 def test_forcing(conn, family: str, sampler_seed: int, n: int) -> SetRole:
     """Sampled check that every family violator rejects the connections:
-    the boundary violator first, when it violates by the margin, then
-    seeded violators."""
+    the boundary violator first, when family_report calls it a violator,
+    then seeded violators.  Like every coupling answer here, the verdict
+    concerns the rationalized targets (exact_connection)."""
     return _run_samples(conn, family, sampler_seed, n, "forcing")
 
 

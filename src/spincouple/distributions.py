@@ -12,6 +12,7 @@ floats, and rationalize converts a deliberate float at a bounded denominator.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
@@ -24,6 +25,11 @@ CONTEXTS: tuple[Context, ...] = ((1, 1), (1, 2), (2, 1), (2, 2))
 _EPS = 1e-9
 
 RATIONALIZE_MAX_DENOMINATOR = 10**6
+
+# Fraction expands a decimal exponent into 10**|exponent| before any range
+# check can run; past Python's own int-string digit limit the string is refused.
+_MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -81,6 +87,12 @@ class Scenario:
         extra = [c for c in self.pairs if c not in CONTEXTS]
         if extra:
             raise StructuralError(f"scenario has unknown contexts {extra}")
+        for ctx in CONTEXTS:
+            if not isinstance(self.pairs[ctx], PairDistribution):
+                raise StructuralError(
+                    f"scenario context {ctx} holds {type(self.pairs[ctx]).__name__}, "
+                    "not a PairDistribution"
+                )
         object.__setattr__(self, "pairs", dict(self.pairs))
 
     def correlations(self) -> "CorrelationVector":
@@ -92,7 +104,8 @@ def as_rational(value) -> Fraction:
 
     Floats are refused: every probability in this package is exact, and a
     silently converted float almost always means an upstream mistake.  Use
-    rationalize for deliberate float-to-rational conversion.
+    rationalize for deliberate float-to-rational conversion.  A decimal
+    string whose exponent exceeds 4300 in magnitude is refused unexpanded.
     """
     if isinstance(value, bool):
         raise DomainError("booleans are not probabilities")
@@ -103,11 +116,23 @@ def as_rational(value) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
+        _refuse_huge_exponent(value)
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"cannot parse rational from {value!r}") from exc
     raise DomainError(f"cannot interpret {type(value).__name__} as an exact rational")
+
+
+def _refuse_huge_exponent(text: str) -> None:
+    m = _EXPONENT.search(text)
+    if m is None:
+        return
+    digits = m.group(1).replace("_", "").lstrip("0")
+    if len(digits) > 4 or int(digits or 0) > _MAX_DECIMAL_EXPONENT:
+        raise DomainError(
+            f"decimal exponent in {text!r} exceeds {_MAX_DECIMAL_EXPONENT} in magnitude"
+        )
 
 
 def rationalize(x, max_denominator: int) -> Fraction:
@@ -120,6 +145,8 @@ def rationalize(x, max_denominator: int) -> Fraction:
         raise DomainError(f"max_denominator must be an int >= 1, got {max_denominator!r}")
     if isinstance(x, bool):
         raise DomainError(f"rationalize expects a number, got {x!r}")
+    if isinstance(x, str):
+        _refuse_huge_exponent(x)
     try:
         f = Fraction(x)
     except (ValueError, OverflowError, TypeError):  # NaN, infinities, non-numbers

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -249,12 +250,9 @@ def test_connections_equivalent_verdicts(capsys):
     assert scenario.pairs  # the certificate is a complete scenario document
 
 
-def test_connections_boundary_violator_refutes_tsirelson_forcing(capsys):
-    # the vector's even-pattern maximum is 3.1604 < 6 - 2*sqrt(2), so some
-    # tsirelson violator couples with it; interior samples missed it
-    code, doc, _ = run(capsys, "connections", "--conn=0.773913,0.682510,0.896068,0.807920",
-                       "--family", "tsirelson", "--role", "equivalent", "--n", "20",
-                       "--seed", "3975367376858025006")
+def _assert_boundary_refutes_tsirelson_equivalence(capsys, conn, seed):
+    code, doc, _ = run(capsys, "connections", f"--conn={conn}", "--family", "tsirelson",
+                       "--role", "equivalent", "--n", "20", "--seed", seed)
     assert code == 1
     assert doc["verdict"] is False and doc["samples_checked"] == 1
     scenario, _ = parse_scenario_document(doc["counterexample"]["scenario"])
@@ -262,6 +260,22 @@ def test_connections_boundary_violator_refutes_tsirelson_forcing(capsys):
     targets = ConnectionVector(*(Fraction(doc["conn"][name]) for name in CONNECTION_NAMES))
     assert coupling_exists(scenario, targets).feasible
     assert oracle.coupling_exists(scenario, targets).feasible
+
+
+def test_connections_boundary_violator_refutes_tsirelson_forcing(capsys):
+    # the vector's even-pattern maximum is 3.1604 < 6 - 2*sqrt(2), so some
+    # tsirelson violator couples with it; interior samples missed it
+    _assert_boundary_refutes_tsirelson_equivalence(
+        capsys, "0.773913,0.682510,0.896068,0.807920", "3975367376858025006"
+    )
+
+
+def test_connections_slight_boundary_violator_refutes_tsirelson_forcing(capsys):
+    # m = 2.828473 exceeds 2*sqrt(2) by 4.6e-5, less than the sampler's
+    # 1e-4 margin; family_report still calls the boundary violator one
+    _assert_boundary_refutes_tsirelson_equivalence(
+        capsys, "-0.710926,0.633031,0.917998,-0.909572", "2452649639505486421"
+    )
 
 
 def test_connections_validation(capsys):
@@ -441,6 +455,27 @@ def test_bad_cell_is_reported_by_context_and_cell(capsys, tmp_path):
     code, doc, err = run(capsys, "check", str(path))
     assert code == 2 and doc is None
     assert 'context "22": p_mm: booleans are not probabilities' in err
+
+
+def test_huge_decimal_exponent_in_a_cell_is_refused_quickly(capsys, tmp_path):
+    doc = scenario_document(scenario_from_correlations((F(0),) * 4))
+    doc["pairs"]["22"]["mm"] = "1e-100000000"
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", str(path))
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out is None
+    assert 'context "22": p_mm: decimal exponent' in err and "exceeds 4300" in err
+
+
+def test_oversized_json_integer_reports_usage_error(capsys, tmp_path):
+    doc = scenario_document(scenario_from_correlations((F(0),) * 4))
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps(doc).replace('"1/4"', "1" + "0" * 5000, 1))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and out is None
+    assert str(path) in err and "cannot read the JSON" in err
 
 
 def test_missing_file_reports_usage_error(capsys, tmp_path):

@@ -184,6 +184,9 @@ def test_partition_weights_validation():
         PartitionWeights({**uniform, (3, 3): uniform[(1, 1)]})
     with pytest.raises(StructuralError):
         PartitionWeights({**uniform, (1, 1): {**uniform[(1, 1)], (7, 7): F(1, 2)}})
+    # every context holds a mapping of cells to weights
+    with pytest.raises(StructuralError, match=r"context \(1, 2\) hold int"):
+        PartitionWeights({**uniform, (1, 2): 5})
     # omitted cells default to zero
     half = {ctx: {(1, 1): F(1, 2), (-1, -1): F(1, 2)} for ctx in CONTEXTS}
     t = PartitionWeights(half)

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from spincouple import (
     correlation,
     scenario_from_correlations,
 )
+from spincouple.distributions import as_rational, rationalize
 
 F = Fraction
 
@@ -65,6 +67,34 @@ def test_scenario_requires_all_contexts():
         Scenario({(1, 1): pd})
     with pytest.raises(StructuralError):
         Scenario({ctx: pd for ctx in CONTEXTS} | {(3, 1): pd})
+
+
+def test_scenario_refuses_values_that_are_not_pair_distributions():
+    pd = PairDistribution(F(1, 4), F(1, 4), F(1, 4), F(1, 4))
+    pairs = {ctx: pd for ctx in CONTEXTS} | {(2, 1): (1, 0, 0, 0)}
+    with pytest.raises(StructuralError, match=r"context \(2, 1\) holds tuple"):
+        Scenario(pairs)
+
+
+HUGE_EXPONENTS = ("1e-100000000", "1e10000000", "1E+4301", "-2.5e-4_301", "1e" + "9" * 5000)
+
+
+@pytest.mark.parametrize("text", HUGE_EXPONENTS)
+def test_huge_decimal_exponents_are_refused_quickly(text):
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="exceeds 4300 in magnitude"):
+        as_rational(text)
+    with pytest.raises(DomainError, match="exceeds 4300 in magnitude"):
+        rationalize(text, 10)
+    assert time.perf_counter() - start < 1
+
+
+def test_decimal_exponents_up_to_the_limit_are_exact():
+    assert as_rational("1e4300") == 10**4300
+    assert as_rational("25e-0004300") == F(25, 10**4300)
+    assert rationalize("5e-1", 10) == F(1, 2)
+    with pytest.raises(DomainError, match=r"\|x\| <= 1"):
+        rationalize("1e4300", 10)
 
 
 @given(st.fractions(min_value=-1, max_value=1, max_denominator=50))

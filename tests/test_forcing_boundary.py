@@ -2,10 +2,11 @@
 
 Before its seeded samples, test_forcing tries the uniform scenario with
 correlations (m/4) (1, 1, 1, -1), m = min(6 - v, 4, 8 - o), o and v the
-largest odd- and even-pattern sums of the targets, whenever it violates
-the family by the sampler's margin.  These tests hold its refutations to
-the exact coupling decision (the fan and the 256-column LP) and hold the
-leg to the samples-only leg wherever the boundary violator is skipped.
+largest odd- and even-pattern sums of the rationalized targets, whenever
+family_report calls it a violator of the family, however slight the
+violation.  These tests hold its refutations to the exact coupling
+decision (the fan and the 256-column LP) and hold the leg to the
+samples-only leg wherever the boundary violator is skipped.
 """
 
 from fractions import Fraction
@@ -89,12 +90,34 @@ def test_boundary_verdicts_never_contradict_the_samples():
     assert refuted == {"bell": 300, "quantum": 298, "tsirelson": 298}
 
 
-def test_boundary_violator_meets_the_margin_exactly():
+def test_boundary_violator_is_tried_iff_family_report_refuses_it():
     # c = (1, 1, 1, 1 - 2d) has v = 4 - 2d and o = 2 + 2d, so m = 2 + 2d:
-    # a bell violator by the margin exactly when 2d >= Fraction(1e-4)
-    margin = Fraction(1e-4)
-    for d in (Fraction(1, 10**5), margin / 2, Fraction(1, 10**4), Fraction(2, 10**4)):
+    # a bell violator exactly when d > 0, however small
+    for d in (
+        Fraction(0),
+        Fraction(1, 10**5),
+        Fraction(1, 2 * 10**4),
+        Fraction(1, 10**4),
+        Fraction(2, 10**4),
+    ):
         s = _boundary_violator("bell", exact_connection((1, 1, 1, 1 - 2 * d)))
-        assert (s is not None) == (2 * d >= margin)
+        assert (s is not None) == (d > 0)
         if s is not None:
             assert s.correlations().components() == tuple((1 + d) / 2 * x for x in (1, 1, 1, -1))
+
+
+# m - 2 sqrt(2) = 4.6e-5: a violator by less than the sampler's 1e-4 margin
+SLIGHT_TSIRELSON_VIOLATOR = (-0.710926, 0.633031, 0.917998, -0.909572)
+
+
+@pytest.mark.parametrize("family", ("quantum", "tsirelson"))
+def test_slight_violators_are_tried(family):
+    exact = exact_connection(SLIGHT_TSIRELSON_VIOLATOR)
+    s = _boundary_violator(family, exact)
+    assert s is not None
+    q = Fraction(2828473, 4 * 10**6)
+    assert s.correlations().components() == (q, q, q, -q)
+    res = role_forcing(SLIGHT_TSIRELSON_VIOLATOR, family, 7, 5)
+    assert not res.verdict and res.samples_checked == 1
+    assert res.counterexample[0] == s
+    _assert_certified(res, SLIGHT_TSIRELSON_VIOLATOR, family, lp_too=True)
